@@ -292,7 +292,10 @@ def _load_embeddings(path) -> np.ndarray:
                 rows.append([float(v) for v in line.split(",")])
     if not rows:
         raise ValueError(f"{path}: empty embeddings file")
-    return np.asarray(rows, dtype=float)
+    z = np.asarray(rows, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{path}: embeddings contain non-finite values")
+    return z
 
 
 def cmd_eval(args) -> int:
@@ -317,13 +320,17 @@ def cmd_diagnose(args) -> int:
     from .geometry import log0_rows
     from .tensor import Tensor
 
-    report = {
-        "erank_ambient": spectral.effective_rank(z),
-        "erank_tangent": spectral.effective_rank(log0_rows(Tensor(z), args.curvature).data),
-        "mean_norm": float(np.mean(np.sqrt(np.sum(z * z, axis=1)))),
-        "n": int(z.shape[0]),
-        "dim": int(z.shape[1]),
-    }
+    try:
+        report = {
+            "erank_ambient": spectral.effective_rank(z),
+            "erank_tangent": spectral.effective_rank(log0_rows(Tensor(z), args.curvature).data),
+            "mean_norm": float(np.mean(np.sqrt(np.sum(z * z, axis=1)))),
+            "n": int(z.shape[0]),
+            "dim": int(z.shape[1]),
+        }
+    except ValueError as e:
+        print(f"error: {args.embeddings}: {e}", file=sys.stderr)
+        return EXIT_DATA
     if args.out:
         try:
             _write_json(args.out, report)
@@ -344,8 +351,18 @@ def cmd_density(args) -> int:
     spec = density.AmbientDensitySpec(
         np.zeros(args.dim), args.sigma ** 2 * np.eye(args.dim), Curvature(args.curvature)
     )
-    integral = density.integrate_density(spec, resolution=args.resolution)
-    table = density.density_profile(spec, n_radii=args.n_radii)
+    # dim, sigma and curvature are checked above, so a ValueError here is
+    # about the grid size named by the flag
+    try:
+        integral = density.integrate_density(spec, resolution=args.resolution)
+    except ValueError as e:
+        print(f"error: --resolution {args.resolution}: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        table = density.density_profile(spec, n_radii=args.n_radii)
+    except ValueError as e:
+        print(f"error: --n-radii {args.n_radii}: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         density.write_profile_csv(args.out, table)
     except OSError as e:

@@ -56,7 +56,9 @@ class Graph:
         keep = raw[:, 0] != raw[:, 1]
         lo = np.minimum(raw[keep, 0], raw[keep, 1])
         hi = np.maximum(raw[keep, 0], raw[keep, 1])
-        edges = np.unique(np.column_stack([lo, hi]), axis=0) if lo.size else np.zeros((0, 2), int)
+        # lo * n + hi sorts the pairs lexicographically by (lo, hi)
+        keys = np.unique(lo * self.n + hi)
+        edges = np.column_stack([keys // self.n, keys % self.n])
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=int)

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels for small matrices.
 
-Everything here is written directly against numpy arrays (no LAPACK
-wrappers): Cholesky factorization, triangular solves, one-sided Jacobi
-singular values and cyclic Jacobi eigendecomposition.  Accuracy on small
-dense matrices (d <= 512) matters more than speed for this toolkit.
+Cholesky factorization and triangular solves are written directly against
+numpy arrays; the training loss differentiates through them, so their
+exact rounding is part of every training trajectory.  Singular values and
+the symmetric eigendecomposition only feed diagnostics and call LAPACK
+through ``np.linalg``.
 """
 from __future__ import annotations
 
@@ -85,93 +86,27 @@ def spd_logdet(a: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
-def jacobi_svd_values(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values of a dense matrix by one-sided Jacobi, descending.
+def jacobi_svd_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a dense matrix, descending (LAPACK ``gesdd``).
 
-    Columns are rotated pairwise until mutually orthogonal; the singular
-    values are then the column norms.  Quadratically convergent and robust
-    for the matrix sizes used here.
+    Computed by ``np.linalg.svd(a, compute_uv=False)``; the Jacobi name
+    is kept for existing callers.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    n = a.shape[1]
-    if n == 1:
-        return np.array([np.linalg.norm(a[:, 0])])
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ai = a[:, i].copy()
-                aj = a[:, j].copy()
-                alpha = ai @ ai
-                beta = aj @ aj
-                gamma = ai @ aj
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                rel = abs(gamma) / np.sqrt(alpha * beta)
-                worst = max(worst, rel)
-                if rel <= tol:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                a[:, i] = cs * ai - sn * aj
-                a[:, j] = sn * ai + cs * aj
-        if worst <= tol:
-            break
-    s = np.sqrt(np.sum(a * a, axis=0))
-    return np.sort(s)[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(a: np.ndarray):
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Returns (eigenvalues descending, eigenvectors as columns).  The input
-    is symmetrized before iterating.
+    is symmetrized first.  Computed by ``np.linalg.eigh``; the Jacobi name
+    is kept for existing callers.
     """
-    A = np.array(a, dtype=float)
+    A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    A = (A + A.T) / 2.0
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    norm = np.sqrt(np.sum(A * A))
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2))
-        if off <= tol * max(norm, 1e-300):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = A.diagonal().copy()
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh((A + A.T) / 2.0)
+    return w[::-1], V[:, ::-1]

@@ -4,10 +4,10 @@ The covariance of a batch uses the 1/N normalization (not 1/(N-1)).  The KL
 term is the additive form tr(S) - logdet(S) - d + ||mu||^2 against a unit
 Gaussian; a jitter of 1e-6 * I is folded into S before the trace/logdet so
 the term stays defined in the collapse regime this toolkit must measure.
-Effective rank of a rectangular matrix uses its singular values (one-sided
-Jacobi); effective rank of a covariance uses its eigenvalues (cyclic
-Jacobi).  The two spectra differ by squaring and a 1/N factor, so both are
-exposed and labeled distinctly.
+Effective rank of a rectangular matrix uses its singular values (LAPACK
+SVD); effective rank of a covariance uses its eigenvalues (LAPACK
+symmetric eigensolver).  The two spectra differ by squaring and a 1/N
+factor, so both are exposed and labeled distinctly.
 """
 from __future__ import annotations
 

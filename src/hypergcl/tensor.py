@@ -60,7 +60,7 @@ class Tensor:
         arr = np.asarray(data, dtype=float)
         if arr.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
 
@@ -178,7 +178,7 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
 
 def _record(name: str, data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     arr = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{name}' produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr

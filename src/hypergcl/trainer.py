@@ -220,6 +220,13 @@ def _noisy_onehot(labels: np.ndarray, num_classes: int, noise: float, rng) -> np
     return x + noise * rng.standard_normal(x.shape)
 
 
+def _require_keys(kind: str, params: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in params]
+    if missing:
+        names = ", ".join(f"'dataset.{k}'" for k in missing)
+        raise ValueError(f"{kind} dataset is missing config key {names}")
+
+
 def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
     """Deterministic desk-scale benchmark graphs.
 
@@ -233,6 +240,7 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
     noise = float(params.pop("feature_noise", 0.3))
     train_per_class = int(params.pop("train_per_class", 10))
     if kind == "balanced_tree":
+        _require_keys(kind, params, "branching", "height")
         b = int(params.pop("branching"))
         h = int(params.pop("height"))
         if params:
@@ -252,6 +260,7 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
         splits = _make_splits(labels, train_per_class, rng)
         return Graph(n, edges, features, labels=labels, splits=splits)
     if kind == "sbm":
+        _require_keys(kind, params, "block_sizes", "p_in", "p_out")
         sizes = [int(s) for s in params.pop("block_sizes")]
         p_in = float(params.pop("p_in"))
         p_out = float(params.pop("p_out"))
@@ -278,6 +287,7 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> Graph:
         from .graphnet import load_graph
 
         p = cfg.params
+        _require_keys(cfg.kind, p, "edges", "features")
         return load_graph(p["edges"], p["features"], p.get("labels"), p.get("splits"))
     return make_synthetic(cfg.kind, cfg.params, seed)
 

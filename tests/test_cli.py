@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hypergcl import cli
 
@@ -154,6 +155,42 @@ def test_eval_missing_file_exit(tmp_path):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [("0,0\n0,0\n0,0\n", "all-zero"), ("0.1,nan\n0.2,0.1\n", "non-finite")],
+    ids=["all-zero", "non-finite"],
+)
+def test_diagnose_degenerate_embeddings_exit(tmp_path, capsys, rows, problem):
+    emb = tmp_path / "emb.csv"
+    emb.write_text(rows)
+    assert cli.main(["diagnose", "--embeddings", str(emb)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
+@pytest.mark.parametrize(
+    "dataset, missing",
+    [
+        ({"kind": "balanced_tree", "branching": 2}, "height"),
+        ({"kind": "sbm", "block_sizes": [5, 5], "p_in": 0.5}, "p_out"),
+    ],
+    ids=["balanced_tree", "sbm"],
+)
+def test_train_dataset_missing_key_exit(tmp_path, capsys, dataset, missing):
+    cfg = write_config(tmp_path, extra={"dataset": dataset})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"'dataset.{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--resolution", "10"), ("--n-radii", "1")], ids=["resolution", "n-radii"]
+)
+def test_density_grid_too_coarse_exit(tmp_path, capsys, flag, value):
+    args = ["density", "--sigma", "1.0", "--curvature", "1.0", "--dim", "1", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(args + [flag, value]) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_density_prints_integral(tmp_path, capsys):

@@ -32,6 +32,15 @@ def test_graph_canonicalization():
     g = Graph(3, [[0, 1], [1, 0], [2, 2], [1, 2]], np.zeros((3, 2)))
     assert g.num_edges == 2  # duplicate collapsed, self-loop dropped
     assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+    # pairs sort by their lower endpoint first
+    g = Graph(4, [[3, 0], [2, 1], [1, 0]], np.zeros((4, 2)))
+    assert np.array_equal(g.edges, [[0, 1], [0, 3], [1, 2]])
+    # reference: row-wise unique over the sorted endpoint pairs
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 40, size=(300, 2))
+    pairs = np.sort(raw[raw[:, 0] != raw[:, 1]], axis=1)
+    g = Graph(40, raw, np.zeros((40, 2)))
+    assert np.array_equal(g.edges, np.unique(pairs, axis=0))
 
 
 def test_graph_validation():

@@ -67,6 +67,19 @@ def test_balanced_tree_validation():
         make_synthetic("balanced_tree", {"branching": 2, "height": 3, "bogus": 1}, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, missing",
+    [
+        ("balanced_tree", {"branching": 2}, "height"),
+        ("sbm", {"block_sizes": [5, 5], "p_in": 0.5}, "p_out"),
+        ("files", {"features": "f.csv"}, "edges"),
+    ],
+)
+def test_dataset_missing_key_is_named(kind, params, missing):
+    with pytest.raises(ValueError, match=f"'dataset.{missing}'"):
+        build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
+
+
 def test_sbm_expected_cut_edges():
     cuts = []
     for s in range(30):
@@ -108,6 +121,17 @@ def test_train_deterministic_bitwise():
     assert np.array_equal(p1.theta1.data, p2.theta1.data)
     assert np.array_equal(p1.theta2.data, p2.theta2.data)
     assert t1.records == t2.records
+
+
+def test_logging_does_not_perturb_training():
+    # Trace records are computed outside the tape and never feed back, so
+    # how often they are taken must leave every parameter bit unchanged.
+    opt = OptimizerConfig(learning_rate=1e-2, steps=12)
+    p_every, t_every = train(tree31_config(optimizer=opt, log_every=1))
+    p_final, t_final = train(tree31_config(optimizer=opt, log_every=12))
+    assert len(t_every.records) == 12 and len(t_final.records) == 2
+    for a, b in zip(p_every.all_tensors(), p_final.all_tensors()):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_align_only_collapses_and_hypergcl_does_not():
