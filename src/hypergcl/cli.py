@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -62,7 +63,13 @@ _SCHEMA = {
     "curvature": float,
     "eps": float,
     "variant": str,
-    "loss": {"lambda_u": float, "t": float, "target_mean": float, "isotropy_degrade_p": float, "jitter": float},
+    "loss": {
+        "lambda_u": float,
+        "t": float,
+        "target_mean": float,
+        "isotropy_degrade_p": (float, None),  # null: no degradation
+        "jitter": float,
+    },
     "augment1": {"edge_drop_prob": float, "node_drop_prob": float, "seed": int},
     "augment2": {"edge_drop_prob": float, "node_drop_prob": float, "seed": int},
     "encoder": {"hidden_dim": int, "out_dim": int, "prelu_init": float, "init_scale": float},
@@ -82,7 +89,24 @@ _SCHEMA = {
 }
 
 
+def _is_finite_number(val) -> bool:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+_TYPE_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_finite_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _check_keys(obj: dict, schema: dict, prefix: str = ""):
+    """Reject unknown keys and values of the wrong JSON type, by dotted key."""
     for key, val in obj.items():
         path = f"{prefix}{key}"
         if key not in schema:
@@ -92,6 +116,15 @@ def _check_keys(obj: dict, schema: dict, prefix: str = ""):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{path}' must be an object")
             _check_keys(val, sub, prefix=f"{path}.")
+        elif sub is not None:
+            typ, nullable = (sub[0], True) if isinstance(sub, tuple) else (sub, False)
+            if val is None and nullable:
+                continue
+            what, ok = _TYPE_CHECKS[typ]
+            if not ok(val):
+                raise ConfigError(
+                    f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}"
+                )
 
 
 def _check_dataset(ds: dict):
@@ -306,7 +339,11 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    acc = linear_eval(z, labels, splits, curvature=args.curvature)
+    try:
+        acc = linear_eval(z, labels, splits, curvature=args.curvature)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
     print(json.dumps({"accuracy": acc}))
     return EXIT_OK
 

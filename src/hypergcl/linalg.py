@@ -8,6 +8,8 @@ through ``np.linalg``.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -38,12 +40,14 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     L = np.zeros((n, n))
     for j in range(n):
-        s = a[j, j] - L[j, :j] @ L[j, :j]
-        if not np.isfinite(s) or s <= 0.0:
+        lj = L[j, :j]
+        s = float(a[j, j] - lj @ lj)
+        if not 0.0 < s < math.inf:  # also catches NaN
             raise NotSPDError(f"Cholesky pivot {j} = {s:.6e}; matrix is not SPD")
-        L[j, j] = np.sqrt(s)
+        d = math.sqrt(s)
+        L[j, j] = d
         if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ lj) / d
     return L
 
 

@@ -13,6 +13,7 @@ accompanies the alignment term, covering the whole ablation family:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,10 +96,19 @@ def isotropy_tangent(
     return total
 
 
+@functools.lru_cache(maxsize=8)
 def _ordered_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (i, j) of every ordered pair i != j, i-major.
+
+    Cached per batch size, since every step asks for the same arrays; they
+    are read-only because every caller shares them.
+    """
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     keep = ii != jj
-    return ii[keep], jj[keep]
+    ii, jj = ii[keep], jj[keep]
+    ii.flags.writeable = False
+    jj.flags.writeable = False
+    return ii, jj
 
 
 def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:

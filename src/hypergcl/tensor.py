@@ -159,10 +159,17 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
 
     `output` must be a scalar.  Leaves never touched by the computation get
     zero gradient (via the Gradients lookup).
+
+    A tensor's first gradient is stored as the VJP returned it; such an
+    array may be shared (`add` hands the same `g` to both inputs), so it is
+    never written to.  The second contribution allocates `prev + gi`, and
+    every further one is added into that array in place.  Contributions are
+    summed in tape order either way, so the result is the same to the bit.
     """
     if output.data.shape != ():
         raise ValueError(f"backward requires a scalar output, got shape {output.data.shape}")
     acc: dict[int, np.ndarray] = {id(output): np.ones(())}
+    owned: set[int] = set()  # keys whose array this sweep allocated
     for node in reversed(tape.nodes):
         g = acc.get(id(node.out))
         if g is None:
@@ -171,8 +178,18 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
         for inp, gi in zip(node.inputs, parts):
             if gi is None:
                 continue
-            prev = acc.get(id(inp))
-            acc[id(inp)] = gi if prev is None else prev + gi
+            key = id(inp)
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = gi
+            elif key in owned:
+                np.add(prev, gi, out=prev)
+            else:
+                total = prev + gi
+                acc[key] = total
+                # 0-d sums come back as numpy scalars, which cannot be updated
+                if isinstance(total, np.ndarray):
+                    owned.add(key)
     return Gradients(acc)
 
 
@@ -348,9 +365,13 @@ def batch_mean(a: Tensor) -> Tensor:
 def rownorm2(a: Tensor) -> Tensor:
     """Squared L2 norm of each row: (n, d) -> (n,)."""
     _expect_matrix(a, "rownorm2")
-    return _record(
-        "rownorm2", np.sum(a.data * a.data, axis=1), (a,), lambda g: (2.0 * a.data * g[:, None],)
-    )
+
+    def vjp(g):
+        gx = 2.0 * a.data
+        gx *= g[:, None]
+        return (gx,)
+
+    return _record("rownorm2", np.sum(a.data * a.data, axis=1), (a,), vjp)
 
 
 def rownorm(a: Tensor) -> Tensor:
@@ -405,20 +426,31 @@ def sub_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return _record("sub_rowvec", a.data - v.data, (a, v), lambda g: (g, -np.sum(g, axis=0)))
 
 
+def _scatter_add_rows(idx: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) array with out[idx[k]] += v[k], summed in the order of `idx`.
+
+    One `np.bincount` over the flat indices `idx * d + column`.  bincount
+    starts every bin at 0.0 and adds its weights in input order, exactly as
+    `np.add.at` on a zero array does, so the two agree to the bit
+    (duplicates and -0.0 included) while bincount runs several times faster.
+    """
+    d = v.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=v.ravel(), minlength=n * d).reshape(n, d)
+
+
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows by integer index; backward scatter-adds."""
+    """Gather rows by integer index.
+
+    The backward pass scatter-adds the row gradients with the
+    order-preserving `_scatter_add_rows` into a fresh array.
+    """
     _expect_matrix(a, "take_rows")
     idx = np.asarray(idx, dtype=int)
     if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= a.data.shape[0]):
         raise ValueError("take_rows: index out of range")
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _record("take_rows", a.data[idx], (a,), vjp)
+    n = a.data.shape[0]
+    return _record("take_rows", a.data[idx], (a,), lambda g: (_scatter_add_rows(idx, g, n),))
 
 
 def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
@@ -520,29 +552,33 @@ class SparseMatrix:
         self.vals = np.asarray(vals, dtype=float)
         if not (self.rows.shape == self.cols.shape == self.vals.shape):
             raise ValueError("SparseMatrix: rows/cols/vals must have equal length")
-        if self.rows.size and (self.rows.max() >= self.shape[0] or self.cols.max() >= self.shape[1]):
+        if self.rows.size and (
+            min(self.rows.min(), self.cols.min()) < 0
+            or self.rows.max() >= self.shape[0]
+            or self.cols.max() >= self.shape[1]
+        ):
             raise ValueError("SparseMatrix: index out of range")
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self.rows, self.cols), self.vals)
-        return dense
+        """Dense copy; duplicate (row, col) entries are summed in COO order."""
+        n, m = self.shape
+        return _scatter_add_rows(self.rows * m + self.cols, self.vals[:, None], n * m).reshape(n, m)
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
-    """Sparse @ dense.  Gradient flows to the dense side only."""
+    """Sparse @ dense.  Gradient flows to the dense side only.
+
+    Both directions sum the per-entry products with the order-preserving
+    `_scatter_add_rows` (COO order), into fresh arrays.
+    """
     _expect_matrix(x, "spmm")
     if s.shape[1] != x.data.shape[0]:
         raise ValueError(f"spmm: inner dims {s.shape} @ {x.data.shape}")
-    y = np.zeros((s.shape[0], x.data.shape[1]))
-    np.add.at(y, s.rows, s.vals[:, None] * x.data[s.cols])
-
-    def vjp(g):
-        z = np.zeros_like(x.data)
-        np.add.at(z, s.cols, s.vals[:, None] * g[s.rows])
-        return (z,)
-
-    return _record("spmm", y, (x,), vjp)
+    y = _scatter_add_rows(s.rows, s.vals[:, None] * x.data[s.cols], s.shape[0])
+    n = x.data.shape[0]
+    return _record(
+        "spmm", y, (x,), lambda g: (_scatter_add_rows(s.cols, s.vals[:, None] * g[s.rows], n),)
+    )
 
 
 # ------------------------------------------------------------- finite diffs

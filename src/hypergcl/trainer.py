@@ -424,6 +424,15 @@ def linear_eval(
     labels = np.asarray(labels, dtype=int)
     if splits is None or any(k not in splits for k in ("train", "test")):
         raise ValueError("linear_eval needs train/test splits")
+    n = z.shape[0]
+    if labels.shape[0] < n:
+        raise ValueError(f"{labels.shape[0]} labels for {n} embedding rows")
+    if labels.min() < 0:
+        raise ValueError("labels must be nonnegative class ids")
+    for name, idx in splits.items():
+        idx = np.asarray(idx, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"split '{name}' has an index out of range for {n} embedding rows")
     x = _tangent_matrix(z, float(curvature)) if curvature is not None else z
     tr = np.asarray(splits["train"], dtype=int)
     te = np.asarray(splits["test"], dtype=int)

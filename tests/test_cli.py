@@ -185,6 +185,60 @@ def test_train_dataset_missing_key_exit(tmp_path, capsys, dataset, missing):
 
 
 @pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"optimizer": {"steps": 2.9}}, "optimizer.steps"),
+        ({"optimizer": {"steps": True}}, "optimizer.steps"),
+        ({"seed": 1.5}, "seed"),
+        ({"log_every": "3"}, "log_every"),
+        ({"curvature": "nan"}, "curvature"),
+    ],
+    ids=["float-count", "bool-count", "float-seed", "string-count", "string-float"],
+)
+def test_train_rejects_mistyped_value(tmp_path, capsys, extra, key):
+    cfg = write_config(tmp_path, extra=extra)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_parse_config_accepts_well_typed_values():
+    cfg, _ = cli.parse_config(
+        {"curvature": 2, "loss": {"isotropy_degrade_p": None}, "optimizer": {"steps": 3}}
+    )
+    assert cfg.curvature == 2.0 and cfg.isotropy_degrade_p is None and cfg.optimizer.steps == 3
+    cfg, _ = cli.parse_config({"loss": {"isotropy_degrade_p": 0.5}})
+    assert cfg.isotropy_degrade_p == 0.5
+    for bad in ({"loss": {"jitter": float("inf")}}, {"eps": 10**400}, {"eps": False}):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(bad)
+
+
+@pytest.mark.parametrize(
+    "labels, splits, problem",
+    [
+        ([0, 1], {"train": [0, 1], "val": [], "test": [2, 3]}, "2 labels for 4 embedding rows"),
+        ([0, 1, 0, 1], {"train": [0, 1], "val": [], "test": [2, 7]}, "split 'test'"),
+        ([0, 0, 1, 1], {"train": [0, 1], "val": [], "test": [2, 3]}, "single class"),
+        ([-1, 0, -1, 0], {"train": [0, 1], "val": [], "test": [2, 3]}, "nonnegative"),
+    ],
+    ids=["short-labels", "split-out-of-range", "single-class-train", "negative-label"],
+)
+def test_eval_inconsistent_inputs_exit(tmp_path, capsys, labels, splits, problem):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
+    lab = tmp_path / "labels.csv"
+    lab.write_text("label\n" + "\n".join(map(str, labels)) + "\n")
+    spl = tmp_path / "splits.json"
+    spl.write_text(json.dumps(splits))
+    args = ["eval", "--embeddings", str(emb), "--labels", str(lab), "--splits", str(spl)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--resolution", "10"), ("--n-radii", "1")], ids=["resolution", "n-radii"]
 )
 def test_density_grid_too_coarse_exit(tmp_path, capsys, flag, value):

@@ -95,3 +95,14 @@ def test_jacobi_eigh_contract(d):
     assert np.allclose(w_skewed, w, atol=1e-12)
     with pytest.raises(ValueError):
         jacobi_eigh(a[:, :-1] if d > 1 else a.ravel())
+
+
+@pytest.mark.parametrize(
+    "pos, val",
+    [((0, 0), np.nan), ((1, 1), np.inf), ((2, 0), np.nan), ((2, 1), np.inf), ((1, 0), -np.inf)],
+)
+def test_cholesky_rejects_nonfinite(pos, val):
+    a = np.eye(3) * 4.0
+    a[pos] = a[pos[::-1]] = val
+    with pytest.raises(NotSPDError):
+        cholesky(a)

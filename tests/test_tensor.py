@@ -173,3 +173,123 @@ def test_no_tape_means_no_recording():
     y = T.mul(Tensor(2.0), Tensor(3.0))  # outside any tape
     assert float(y) == 6.0
     assert tape.nodes == []
+
+
+# ------------------------------------------------- order-preserving scatter
+
+def _add_at_reference(idx, v, n):
+    out = np.zeros((n, v.shape[1]))
+    np.add.at(out, idx, v)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 16])
+@pytest.mark.parametrize(
+    "idx",
+    [np.array([3, 0, 3, 1, 3, 0, 4]), np.array([], dtype=int), np.array([2, 2, 2, 2])],
+    ids=["unsorted-duplicates", "empty", "one-row"],
+)
+def test_scatter_add_rows_matches_add_at_bitwise(idx, width):
+    rng = np.random.default_rng(width)
+    # magnitudes spread over many decades, so any change of summation order
+    # shows in the low bits
+    v = rng.standard_normal((idx.size, width)) * 10.0 ** rng.integers(-8, 9, (idx.size, width))
+    if idx.size:
+        v[0, 0] = -0.0
+        v[-1, -1] = -0.0
+    assert _same_bits(T._scatter_add_rows(idx, v, 6), _add_at_reference(idx, v, 6))
+
+
+def test_scatter_add_rows_negative_zero_entries():
+    v = np.full((3, 2), -0.0)
+    out = T._scatter_add_rows(np.array([1, 1, 0]), v, 3)
+    assert _same_bits(out, _add_at_reference(np.array([1, 1, 0]), v, 3))
+
+
+def test_to_dense_sums_duplicate_entries():
+    rows, cols = [0, 2, 0, 1, 0], [1, 0, 1, 1, 1]
+    vals = [0.1, 2.0, 0.2, -1.0, 1e-17]
+    sp = SparseMatrix((3, 2), rows, cols, vals)
+    ref = np.zeros((3, 2))
+    np.add.at(ref, (np.array(rows), np.array(cols)), np.array(vals))
+    assert _same_bits(sp.to_dense(), ref)
+    assert sp.to_dense()[0, 1] == (0.0 + 0.1 + 0.2) + 1e-17
+
+
+def test_sparse_matrix_rejects_negative_index():
+    with pytest.raises(ValueError):
+        SparseMatrix((2, 2), [0, -1], [0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        SparseMatrix((2, 2), [0, 1], [-2, 1], [1.0, 1.0])
+
+
+# ------------------------------------------------ in-place accumulation
+
+def test_backward_add_of_a_tensor_with_itself():
+    w = np.random.default_rng(2).standard_normal((3, 4))
+    x0 = np.random.default_rng(3).standard_normal((3, 4))
+    with Tape() as tape:
+        x = Tensor(x0)
+        y = T.sum_all(T.mul(T.add(x, x), Tensor(w)))
+    assert np.array_equal(backward(tape, y).wrt(x), w + w)
+    assert finite_diff_check(lambda t: T.sum_all(T.mul(T.add(t, t), Tensor(w))), x0) < 1e-8
+
+
+def _fanout(x, b):
+    # `add` is recorded last, so the sweep reaches it first and hands its one
+    # gradient array to both x and b; x then gets two more contributions
+    # from `mul(x, x)` and a fourth from `smul`.
+    p = T.smul(x, 3.0)
+    q = T.mul(x, x)
+    s = T.add(x, b)
+    return T.add(T.sum_all(T.mul(s, s)), T.sum_all(T.mul(p, q)))
+
+
+def test_backward_fanout_never_writes_a_shared_gradient():
+    rng = np.random.default_rng(4)
+    x0, b0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    with Tape() as tape:
+        x, b = Tensor(x0), Tensor(b0)
+        out = _fanout(x, b)
+    grads = backward(tape, out)
+    s = x0 + b0
+    assert np.array_equal(grads.wrt(b), s + s)  # b's gradient untouched by x's
+    assert np.allclose(grads.wrt(x), 2.0 * s + 9.0 * x0 * x0, atol=1e-12)
+    assert finite_diff_check(lambda t: _fanout(t, Tensor(b0)), x0) < 1e-7
+    assert finite_diff_check(lambda t: _fanout(Tensor(x0), t), b0) < 1e-7
+
+
+@pytest.mark.parametrize("variant", ["hypergcl", "hyperbolic-naive-uniformity"])
+def test_training_bit_identical_with_add_at_scatter(monkeypatch, variant):
+    from hypergcl.graphnet import AugmentationConfig
+    from hypergcl.losses import LossWeights
+    from hypergcl.trainer import (
+        DatasetConfig,
+        EncoderConfig,
+        ExperimentConfig,
+        OptimizerConfig,
+        train,
+    )
+
+    cfg = ExperimentConfig(
+        variant=variant,
+        weights=LossWeights(lambda_u=3.0, t=2.0),
+        encoder=EncoderConfig(hidden_dim=16, out_dim=8, init_scale=6.0),
+        optimizer=OptimizerConfig(learning_rate=1e-2, steps=6),
+        dataset=DatasetConfig(
+            kind="balanced_tree", params={"branching": 2, "height": 3, "feature_noise": 1.0}
+        ),
+        augment1=AugmentationConfig(0.2, 0.1, seed=1),
+        augment2=AugmentationConfig(0.2, 0.1, seed=2),
+        seed=0,
+        log_every=6,
+    )
+    fast, _ = train(cfg)
+    monkeypatch.setattr(T, "_scatter_add_rows", _add_at_reference)
+    ref, _ = train(cfg)
+    for a, b in zip(fast.all_tensors(), ref.all_tensors()):
+        assert _same_bits(a.data, b.data)
