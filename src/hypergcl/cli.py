@@ -2,7 +2,10 @@
 
 All output is CSV or JSON for external plotting.  Every run echoes its fully
 resolved configuration to `resolved_config.json`, and identical configs with
-identical seeds produce byte-identical output files.
+identical seeds produce byte-identical output files.  The config's keys,
+their types and their defaults are read from the config dataclasses
+(`trainer.ExperimentConfig` and the ones it nests) and the dataset keys
+from `trainer.DATASET_KEYS`; this module states none of them.
 
 Exit codes: 0 success, 1 config/usage error, 2 dataset or output-path error,
 3 non-finite loss, 4 failed verification property.
@@ -15,20 +18,17 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import density, spectral
 from .geometry import Curvature
-from .graphnet import AugmentationConfig, load_label_csv, load_splits_json
-from .losses import LossWeights
+from .graphnet import load_label_csv, load_splits_json
 from .trainer import (
-    DatasetConfig,
-    EncoderConfig,
-    EvalConfig,
+    DATASET_KEYS,
     ExperimentConfig,
     NonFiniteLossError,
-    OptimizerConfig,
     SWEEP_AXES,
     build_dataset,
     final_embedding,
@@ -53,40 +53,33 @@ class ConfigError(ValueError):
     """Configuration file problem; the message names the offending key."""
 
 
-_DATASET_KEYS = {
-    "balanced_tree": {"branching", "height", "feature_noise", "train_per_class"},
-    "sbm": {"block_sizes", "p_in", "p_out", "feature_noise", "train_per_class"},
-    "files": {"edges", "features", "labels", "splits"},
-}
+# The JSON "loss" section holds the LossWeights fields and these
+# ExperimentConfig fields; every other section is one config dataclass.
+_LOSS_FIELDS = ("target_mean", "isotropy_degrade_p", "jitter")
 
-_SCHEMA = {
-    "curvature": float,
-    "eps": float,
-    "variant": str,
-    "loss": {
-        "lambda_u": float,
-        "t": float,
-        "target_mean": float,
-        "isotropy_degrade_p": (float, None),  # null: no degradation
-        "jitter": float,
-    },
-    "augment1": {"edge_drop_prob": float, "node_drop_prob": float, "seed": int},
-    "augment2": {"edge_drop_prob": float, "node_drop_prob": float, "seed": int},
-    "encoder": {"hidden_dim": int, "out_dim": int, "prelu_init": float, "init_scale": float},
-    "optimizer": {
-        "learning_rate": float,
-        "steps": int,
-        "weight_decay": float,
-        "beta1": float,
-        "beta2": float,
-        "adam_eps": float,
-    },
-    "eval": {"steps": int, "learning_rate": float, "l2": float},
-    "seed": int,
-    "log_every": int,
-    "dataset": None,  # validated separately per kind
-    "out_dir": str,
-}
+
+def _field_types(cls) -> dict:
+    """Field name -> type of a config dataclass; nested dataclasses become dicts."""
+    return {
+        name: _field_types(typ) if dataclasses.is_dataclass(typ) else typ
+        for name, typ in typing.get_type_hints(cls).items()
+    }
+
+
+def _json_types() -> dict:
+    """Config file key -> type, or a dict of them for a section."""
+    types = _field_types(ExperimentConfig)
+    del types["dataset"]  # checked per kind against DATASET_KEYS
+    types["loss"] = {**types.pop("weights"), **{k: types.pop(k) for k in _LOSS_FIELDS}}
+    types["out_dir"] = str
+    return types
+
+
+_JSON_TYPES = _json_types()
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _is_finite_number(val) -> bool:
@@ -99,153 +92,97 @@ def _is_finite_number(val) -> bool:
 
 
 _TYPE_CHECKS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    int: ("an integer", _is_int),
     float: ("a finite number", _is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
+    list[int]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
 }
 
 
-def _check_keys(obj: dict, schema: dict, prefix: str = ""):
-    """Reject unknown keys and values of the wrong JSON type, by dotted key."""
+def _check_value(path: str, typ, val):
+    """val, stored as float for a float key; ConfigError if its JSON type is wrong."""
+    nullable = type(None) in typing.get_args(typ)  # Optional[float]
+    if nullable:
+        if val is None:
+            return None
+        typ = float
+    what, ok = _TYPE_CHECKS[typ]
+    if not ok(val):
+        raise ConfigError(f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}")
+    return float(val) if typ is float else val
+
+
+def _checked(obj: dict, types: dict, prefix: str = "") -> dict:
+    """obj with its values checked as `_check_value` does; unknown keys are rejected by dotted key."""
+    out = {}
     for key, val in obj.items():
         path = f"{prefix}{key}"
-        if key not in schema:
+        if key not in types:
             raise ConfigError(f"unknown config key '{path}'")
-        sub = schema[key]
-        if isinstance(sub, dict):
+        typ = types[key]
+        if isinstance(typ, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{path}' must be an object")
-            _check_keys(val, sub, prefix=f"{path}.")
-        elif sub is not None:
-            typ, nullable = (sub[0], True) if isinstance(sub, tuple) else (sub, False)
-            if val is None and nullable:
-                continue
-            what, ok = _TYPE_CHECKS[typ]
-            if not ok(val):
-                raise ConfigError(
-                    f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}"
-                )
+            out[key] = _checked(val, typ, prefix=f"{path}.")
+        else:
+            out[key] = _check_value(path, typ, val)
+    return out
 
 
-def _check_dataset(ds: dict):
+def _checked_dataset(ds) -> dict:
+    """The DatasetConfig fields of a dataset section; params are kept as written."""
     if not isinstance(ds, dict):
         raise ConfigError("config key 'dataset' must be an object")
     kind = ds.get("kind")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"config key 'dataset.kind' must be one of {sorted(_DATASET_KEYS)}")
-    allowed = _DATASET_KEYS[kind] | {"kind"}
-    for key in ds:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key 'dataset.{key}'")
+    if not isinstance(kind, str) or kind not in DATASET_KEYS:
+        raise ConfigError(f"config key 'dataset.kind' must be one of {sorted(DATASET_KEYS)}")
+    params = {k: v for k, v in ds.items() if k != "kind"}
+    _checked(params, DATASET_KEYS[kind], prefix="dataset.")
+    return {"kind": kind, "params": params}
+
+
+def _replaced(default, values: dict):
+    """default with values replaced, field by field in declaration order."""
+    changes = {}
+    for f in dataclasses.fields(default):
+        if f.name in values:
+            old, new = getattr(default, f.name), values[f.name]
+            changes[f.name] = _replaced(old, new) if dataclasses.is_dataclass(old) else new
+    return dataclasses.replace(default, **changes)
 
 
 def parse_config(raw: dict) -> tuple[ExperimentConfig, str]:
     """Validate a JSON config dict; returns (config, out_dir).
 
-    Unknown keys are rejected by name; missing keys fall back to documented
-    defaults (the resolved values are echoed to resolved_config.json).
+    Keys, their types and their defaults are those of `ExperimentConfig`
+    and its nested config dataclasses; the "loss" section holds
+    `LossWeights` and the top-level loss fields, and dataset keys are
+    checked against `trainer.DATASET_KEYS`.  Unknown keys and mistyped
+    values are rejected by name; missing keys take the dataclass defaults
+    (the resolved values are echoed to resolved_config.json).
     """
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-    _check_keys(raw, _SCHEMA)
+    values = _checked({k: v for k, v in raw.items() if k != "dataset"}, _JSON_TYPES)
     if "dataset" in raw:
-        _check_dataset(raw["dataset"])
-    loss = raw.get("loss", {})
+        values["dataset"] = _checked_dataset(raw["dataset"])
+    loss = values.pop("loss", {})
+    values["weights"] = {k: v for k, v in loss.items() if k not in _LOSS_FIELDS}
+    values.update((k, v) for k, v in loss.items() if k in _LOSS_FIELDS)
+    out_dir = values.pop("out_dir", "")
     try:
-        cfg = ExperimentConfig(
-            curvature=float(raw.get("curvature", 1.0)),
-            eps=float(raw.get("eps", 1e-5)),
-            variant=raw.get("variant", "hypergcl"),
-            weights=LossWeights(
-                lambda_u=float(loss.get("lambda_u", 1.0)),
-                t=float(loss.get("t", 2.0)),
-            ),
-            target_mean=float(loss.get("target_mean", 0.0)),
-            isotropy_degrade_p=(
-                None if loss.get("isotropy_degrade_p") is None else float(loss["isotropy_degrade_p"])
-            ),
-            jitter=float(loss.get("jitter", spectral.DEFAULT_JITTER)),
-            augment1=_aug(raw.get("augment1", {}), default_seed=1),
-            augment2=_aug(raw.get("augment2", {}), default_seed=2),
-            encoder=_encoder(raw.get("encoder", {})),
-            optimizer=_optimizer(raw.get("optimizer", {})),
-            eval=_eval(raw.get("eval", {})),
-            seed=int(raw.get("seed", 0)),
-            log_every=int(raw.get("log_every", 10)),
-            dataset=_dataset(raw.get("dataset", {"kind": "balanced_tree", "branching": 3, "height": 4})),
-        )
+        return _replaced(ExperimentConfig(), values), out_dir
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(str(e)) from e
-    return cfg, raw.get("out_dir", "")
-
-
-def _aug(obj: dict, default_seed: int) -> AugmentationConfig:
-    return AugmentationConfig(
-        edge_drop_prob=float(obj.get("edge_drop_prob", 0.2)),
-        node_drop_prob=float(obj.get("node_drop_prob", 0.1)),
-        seed=int(obj.get("seed", default_seed)),
-    )
-
-
-def _encoder(obj: dict) -> EncoderConfig:
-    return EncoderConfig(
-        hidden_dim=int(obj.get("hidden_dim", 256)),
-        out_dim=int(obj.get("out_dim", 64)),
-        prelu_init=float(obj.get("prelu_init", 0.25)),
-        init_scale=float(obj.get("init_scale", 1.0)),
-    )
-
-
-def _optimizer(obj: dict) -> OptimizerConfig:
-    return OptimizerConfig(
-        learning_rate=float(obj.get("learning_rate", 1e-3)),
-        steps=int(obj.get("steps", 500)),
-        weight_decay=float(obj.get("weight_decay", 0.0)),
-        beta1=float(obj.get("beta1", 0.9)),
-        beta2=float(obj.get("beta2", 0.999)),
-        adam_eps=float(obj.get("adam_eps", 1e-8)),
-    )
-
-
-def _eval(obj: dict) -> EvalConfig:
-    return EvalConfig(
-        steps=int(obj.get("steps", 300)),
-        learning_rate=float(obj.get("learning_rate", 0.5)),
-        l2=float(obj.get("l2", 1e-4)),
-    )
-
-
-def _dataset(obj: dict) -> DatasetConfig:
-    obj = dict(obj)
-    kind = obj.pop("kind", "balanced_tree")
-    return DatasetConfig(kind=kind, params=obj)
 
 
 def _resolved_dict(cfg: ExperimentConfig, out_dir: str) -> dict:
-    def as_dict(dc):
-        return {f.name: getattr(dc, f.name) for f in dataclasses.fields(dc)}
-
-    return {
-        "curvature": cfg.curvature,
-        "eps": cfg.eps,
-        "variant": cfg.variant,
-        "loss": {
-            "lambda_u": cfg.weights.lambda_u,
-            "t": cfg.weights.t,
-            "target_mean": cfg.target_mean,
-            "isotropy_degrade_p": cfg.isotropy_degrade_p,
-            "jitter": cfg.jitter,
-        },
-        "augment1": as_dict(cfg.augment1),
-        "augment2": as_dict(cfg.augment2),
-        "encoder": as_dict(cfg.encoder),
-        "optimizer": as_dict(cfg.optimizer),
-        "eval": as_dict(cfg.eval),
-        "seed": cfg.seed,
-        "log_every": cfg.log_every,
-        "dataset": {"kind": cfg.dataset.kind, **cfg.dataset.params},
-        "out_dir": out_dir,
-    }
+    resolved = dataclasses.asdict(cfg)
+    resolved["loss"] = {**resolved.pop("weights"), **{k: resolved.pop(k) for k in _LOSS_FIELDS}}
+    dataset = resolved.pop("dataset")
+    resolved["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
+    resolved["out_dir"] = out_dir
+    return resolved
 
 
 def _load_config_file(path) -> dict:
@@ -518,3 +455,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -18,7 +18,6 @@ __all__ = [
     "solve_lower",
     "solve_upper",
     "spd_inverse",
-    "spd_logdet",
     "jacobi_svd_values",
     "jacobi_eigh",
 ]
@@ -82,12 +81,6 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     eye = np.eye(L.shape[0])
     inv = solve_upper(L.T, solve_lower(L, eye))
     return (inv + inv.T) / 2.0
-
-
-def spd_logdet(a: np.ndarray) -> float:
-    """log det of an SPD matrix, 2 * sum(log diag L)."""
-    L = cholesky(a)
-    return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def jacobi_svd_values(a: np.ndarray) -> np.ndarray:

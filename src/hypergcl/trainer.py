@@ -31,6 +31,7 @@ __all__ = [
     "TrainingTrace",
     "NonFiniteLossError",
     "Adam",
+    "DATASET_KEYS",
     "make_synthetic",
     "build_dataset",
     "train",
@@ -42,7 +43,12 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-SWEEP_AXES = ("curvature", "gaussian_mean", "gaussian_isotropy")
+# sweep axis -> the ExperimentConfig field it sets
+SWEEP_AXES = {
+    "curvature": "curvature",
+    "gaussian_mean": "target_mean",
+    "gaussian_isotropy": "isotropy_degrade_p",
+}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -100,13 +106,13 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Synthetic generator spec or file paths (kind = balanced_tree | sbm | files)."""
+    """Synthetic generator spec or file paths; `DATASET_KEYS` lists each kind's keys."""
 
     kind: str = "balanced_tree"
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=lambda: {"branching": 3, "height": 4})
 
     def __post_init__(self):
-        if self.kind not in ("balanced_tree", "sbm", "files"):
+        if self.kind not in DATASET_KEYS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
 
 
@@ -197,6 +203,20 @@ def _derived_seed(*parts) -> int:
 
 
 # ------------------------------------------------------------------ datasets
+
+# dataset kind -> config key -> JSON type of its value
+DATASET_KEYS = {
+    "balanced_tree": {"branching": int, "height": int, "feature_noise": float, "train_per_class": int},
+    "sbm": {
+        "block_sizes": list[int],
+        "p_in": float,
+        "p_out": float,
+        "feature_noise": float,
+        "train_per_class": int,
+    },
+    "files": {"edges": str, "features": str, "labels": str, "splits": str},
+}
+
 
 def _make_splits(labels: np.ndarray, train_per_class: int, rng) -> dict:
     train = []
@@ -458,16 +478,6 @@ def linear_eval(
 
 # -------------------------------------------------------------------- sweeps
 
-def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "curvature":
-        return replace(cfg, curvature=float(value))
-    if axis == "gaussian_mean":
-        return replace(cfg, target_mean=float(value))
-    if axis == "gaussian_isotropy":
-        return replace(cfg, isotropy_degrade_p=float(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
 def _reseeded(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     return replace(
         cfg,
@@ -480,7 +490,7 @@ def _reseeded(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 def sweep(base: ExperimentConfig, axis: str, values, seeds=None) -> list:
     """One train+eval per (value, seed); rows report seed-averaged metrics."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -489,7 +499,7 @@ def sweep(base: ExperimentConfig, axis: str, values, seeds=None) -> list:
     for value in values:
         accs, eras, erts = [], [], []
         for seed in seeds:
-            cfg = _apply_axis(_reseeded(base, seed), axis, value)
+            cfg = replace(_reseeded(base, seed), **{SWEEP_AXES[axis]: float(value)})
             graph = build_dataset(cfg.dataset, cfg.seed)
             params, trace = train(cfg, graph)
             last = trace.last()

@@ -1,10 +1,16 @@
 """CLI contract: exit codes, file outputs, determinism, config validation."""
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypergcl import cli
+from hypergcl.trainer import ExperimentConfig, OptimizerConfig, train
 
 
 BASE_CONFIG = {
@@ -213,6 +219,160 @@ def test_parse_config_accepts_well_typed_values():
     for bad in ({"loss": {"jitter": float("inf")}}, {"eps": 10**400}, {"eps": False}):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(bad)
+
+
+# The resolved config of an empty config file: the one place the tests state
+# every default.
+DEFAULTS = {
+    "curvature": 1.0,
+    "eps": 1e-5,
+    "variant": "hypergcl",
+    "loss": {"lambda_u": 1.0, "t": 2.0, "target_mean": 0.0, "isotropy_degrade_p": None, "jitter": 1e-6},
+    "augment1": {"edge_drop_prob": 0.2, "node_drop_prob": 0.1, "seed": 1},
+    "augment2": {"edge_drop_prob": 0.2, "node_drop_prob": 0.1, "seed": 2},
+    "encoder": {"hidden_dim": 256, "out_dim": 64, "prelu_init": 0.25, "init_scale": 1.0},
+    "optimizer": {
+        "learning_rate": 1e-3,
+        "steps": 500,
+        "weight_decay": 0.0,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "adam_eps": 1e-8,
+    },
+    "eval": {"steps": 300, "learning_rate": 0.5, "l2": 1e-4},
+    "seed": 0,
+    "log_every": 10,
+    "dataset": {"kind": "balanced_tree", "branching": 3, "height": 4},
+    "out_dir": "",
+}
+
+# Every key set, with integers given for float keys.
+EVERY_KEY_CONFIG = {
+    "curvature": 2,
+    "eps": 1e-4,
+    "variant": "hyperbolic-naive-uniformity",
+    "loss": {"lambda_u": 2, "t": 3, "target_mean": 1, "isotropy_degrade_p": 1, "jitter": 1e-5},
+    "augment1": {"edge_drop_prob": 0, "node_drop_prob": 0.3, "seed": 7},
+    "augment2": {"edge_drop_prob": 0.4, "node_drop_prob": 0, "seed": 8},
+    "encoder": {"hidden_dim": 12, "out_dim": 6, "prelu_init": 0, "init_scale": 3},
+    "optimizer": {"learning_rate": 1, "steps": 5, "weight_decay": 1, "beta1": 0, "beta2": 0, "adam_eps": 1},
+    "eval": {"steps": 10, "learning_rate": 1, "l2": 0},
+    "seed": 4,
+    "log_every": 2,
+    "dataset": {"kind": "balanced_tree", "branching": 2, "height": 2, "feature_noise": 1, "train_per_class": 2},
+    "out_dir": "somewhere",
+}
+
+
+def _canonical(obj) -> str:
+    # json text tells 1 from 1.0, which == does not
+    return json.dumps(obj, sort_keys=True)
+
+
+def test_resolved_defaults_golden():
+    assert _canonical(cli._resolved_dict(*cli.parse_config({}))) == _canonical(DEFAULTS)
+    # an empty section takes the same defaults, augment1/augment2 seeds included
+    sections = {k: {} for k, v in DEFAULTS.items() if isinstance(v, dict) and k != "dataset"}
+    assert _canonical(cli._resolved_dict(*cli.parse_config(sections))) == _canonical(DEFAULTS)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        BASE_CONFIG,
+        EVERY_KEY_CONFIG,
+        {**BASE_CONFIG, "dataset": {"kind": "sbm", "block_sizes": [5, 5], "p_in": 0.5, "p_out": 0.1}},
+        {**BASE_CONFIG, "dataset": {"kind": "files", "edges": "e.txt", "features": "x.csv", "labels": "y.csv"}},
+    ],
+    ids=["base", "every-key", "sbm", "files"],
+)
+def test_resolved_config_parses_back_to_the_same_config(raw):
+    cfg, out = cli.parse_config(raw)
+    resolved = cli._resolved_dict(cfg, out)
+    assert cli.parse_config(resolved) == (cfg, out)
+    # dataset params are echoed as written, never coerced
+    assert _canonical(resolved["dataset"]) == _canonical(raw["dataset"])
+    # every other value has its default's type: an integer given for a float key is stored as float
+    default_types = {path: float if v is None else type(v) for path, v in _leaves(DEFAULTS)}
+    for path, val in _leaves(resolved):
+        if not path.startswith("dataset."):
+            assert val is None or type(val) is default_types[path], path
+
+
+def _leaves(obj, prefix=""):
+    for key, val in obj.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", val
+
+
+@pytest.mark.parametrize("path, default", list(_leaves(DEFAULTS)), ids=[p for p, _ in _leaves(DEFAULTS)])
+def test_every_key_rejects_a_mistyped_value(tmp_path, capsys, path, default):
+    if isinstance(default, str):
+        wrong = 1
+    elif isinstance(default, int):
+        wrong = 2.5
+    else:  # float keys, and isotropy_degrade_p (float or null)
+        wrong = True
+    raw = copy.deepcopy(DEFAULTS)
+    *sections, key = path.split(".")
+    target = raw
+    for name in sections:
+        target = target[name]
+    target[key] = wrong
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key '{path}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["weights", "jitter", "target_mean"])
+def test_loss_fields_are_only_read_from_the_loss_section(key):
+    with pytest.raises(cli.ConfigError, match=f"unknown config key '{key}'"):
+        cli.parse_config({key: {} if key == "weights" else 0.0})
+
+
+@pytest.mark.parametrize(
+    "dataset, key",
+    [
+        ({"kind": "balanced_tree", "branching": 2.9, "height": 3}, "branching"),
+        ({"kind": "balanced_tree", "branching": "3", "height": 3}, "branching"),
+        ({"kind": "sbm", "block_sizes": [5.7, 5], "p_in": 0.5, "p_out": 0.1}, "block_sizes"),
+        ({"kind": "balanced_tree", "branching": 2, "height": 3, "train_per_class": 2.5}, "train_per_class"),
+        ({"kind": "files", "edges": 0, "features": "x.csv"}, "edges"),
+    ],
+    ids=["float-branching", "string-branching", "float-block-size", "float-train-per-class", "int-edges-path"],
+)
+def test_train_rejects_mistyped_dataset_value(tmp_path, capsys, dataset, key):
+    cfg = write_config(tmp_path, extra={"dataset": dataset})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key 'dataset.{key}' must be ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_runs_on_the_default_dataset():
+    params, trace = train(ExperimentConfig(optimizer=OptimizerConfig(steps=1)))
+    # balanced_tree with branching 3: three classes, so three one-hot features
+    assert params.theta1.data.shape == (3, 256)
+    assert [r.step for r in trace.records] == [0]
+
+
+@pytest.mark.parametrize("module", ["hypergcl", "hypergcl.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "train", "--config", str(tmp_path / "missing.json")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize(
