@@ -8,21 +8,24 @@ their types and their defaults are read from the config dataclasses
 from `trainer.DATASET_KEYS`; this module states none of them.
 
 Exit codes: 0 success, 1 config/usage error, 2 dataset or output-path error,
-3 non-finite loss, 4 failed verification property.
+3 non-finite loss, 4 failed verification property.  The commands raise and
+`main` alone turns a failure into an exit code and one `error: ...` line:
+`ConfigError` is 1, any other `ValueError` or `OSError` is 2 and
+`NonFiniteLossError` is 3; a command returns 4 itself when properties fail.
+Every other exception propagates.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import typing
 
 import numpy as np
 
-from . import density, spectral
+from . import density
 from .geometry import Curvature
 from .graphnet import load_label_csv, load_splits_json
 from .trainer import (
@@ -31,6 +34,8 @@ from .trainer import (
     NonFiniteLossError,
     SWEEP_AXES,
     build_dataset,
+    check_value,
+    collapse_diagnostics,
     final_embedding,
     linear_eval,
     sweep,
@@ -78,42 +83,8 @@ def _json_types() -> dict:
 _JSON_TYPES = _json_types()
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_finite_number(val) -> bool:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-_TYPE_CHECKS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_finite_number),
-    str: ("a string", lambda v: isinstance(v, str)),
-    list[int]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-}
-
-
-def _check_value(path: str, typ, val):
-    """val, stored as float for a float key; ConfigError if its JSON type is wrong."""
-    nullable = type(None) in typing.get_args(typ)  # Optional[float]
-    if nullable:
-        if val is None:
-            return None
-        typ = float
-    what, ok = _TYPE_CHECKS[typ]
-    if not ok(val):
-        raise ConfigError(f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}")
-    return float(val) if typ is float else val
-
-
 def _checked(obj: dict, types: dict, prefix: str = "") -> dict:
-    """obj with its values checked as `_check_value` does; unknown keys are rejected by dotted key."""
+    """obj with its values checked by `check_value`; unknown keys are rejected by dotted key."""
     out = {}
     for key, val in obj.items():
         path = f"{prefix}{key}"
@@ -125,7 +96,10 @@ def _checked(obj: dict, types: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"config key '{path}' must be an object")
             out[key] = _checked(val, typ, prefix=f"{path}.")
         else:
-            out[key] = _check_value(path, typ, val)
+            try:
+                out[key] = check_value(path, typ, val)
+            except ValueError as e:
+                raise ConfigError(str(e)) from e
     return out
 
 
@@ -195,6 +169,14 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 
+def _override(cfg: ExperimentConfig, flag: str, name: str, value) -> ExperimentConfig:
+    """cfg with one field set from the command line; a value its checks refuse is a ConfigError."""
+    try:
+        return dataclasses.replace(cfg, **{name: value})
+    except ValueError as e:
+        raise ConfigError(f"{flag} {value}: {e}") from e
+
+
 def _ensure_out_dir(out_dir: str):
     if not out_dir:
         raise OSError("no output directory given (set --out or config key 'out_dir')")
@@ -213,32 +195,27 @@ def _write_json(path, obj) -> None:
 
 # ------------------------------------------------------------------ commands
 
+def _write_diagnostic(out_dir: str, e: NonFiniteLossError) -> None:
+    _write_json(
+        os.path.join(out_dir, "diagnostic.json"),
+        {"error": "non-finite loss", "step": e.step, "reason": e.reason},
+    )
+
+
 def cmd_train(args) -> int:
-    try:
-        cfg, cfg_out = parse_config(_load_config_file(args.config))
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=int(args.seed))
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, cfg_out = parse_config(_load_config_file(args.config))
+    if args.seed is not None:
+        cfg = _override(cfg, "--seed", "seed", args.seed)
     out_dir = args.out or cfg_out
-    try:
-        _ensure_out_dir(out_dir)
-        graph = build_dataset(cfg.dataset, cfg.seed)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    _ensure_out_dir(out_dir)
+    graph = build_dataset(cfg.dataset, cfg.seed)
     _write_json(os.path.join(out_dir, "resolved_config.json"), _resolved_dict(cfg, out_dir))
     try:
         params, trace = train(cfg, graph)
     except NonFiniteLossError as e:
-        _write_json(
-            os.path.join(out_dir, "diagnostic.json"),
-            {"error": "non-finite loss", "step": e.step, "reason": e.reason},
-        )
+        _write_diagnostic(out_dir, e)
         write_trace_csv(e.trace, os.path.join(out_dir, "trace.csv"))
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+        raise
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     write_matrix_csv(final_embedding(cfg, params, graph), os.path.join(out_dir, "embeddings.csv"))
     _write_json(
@@ -269,59 +246,32 @@ def _load_embeddings(path) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    try:
-        z = _load_embeddings(args.embeddings)
-        labels = load_label_csv(args.labels)
-        splits = load_splits_json(args.splits)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        acc = linear_eval(z, labels, splits, curvature=args.curvature)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    z = _load_embeddings(args.embeddings)
+    labels = load_label_csv(args.labels)
+    splits = load_splits_json(args.splits)
+    acc = linear_eval(z, labels, splits, curvature=args.curvature)
     print(json.dumps({"accuracy": acc}))
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
+    z = _load_embeddings(args.embeddings)
     try:
-        z = _load_embeddings(args.embeddings)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    from .geometry import log0_rows
-    from .tensor import Tensor
-
-    try:
-        report = {
-            "erank_ambient": spectral.effective_rank(z),
-            "erank_tangent": spectral.effective_rank(log0_rows(Tensor(z), args.curvature).data),
-            "mean_norm": float(np.mean(np.sqrt(np.sum(z * z, axis=1)))),
-            "n": int(z.shape[0]),
-            "dim": int(z.shape[1]),
-        }
+        report = collapse_diagnostics(z, args.curvature)
     except ValueError as e:
-        print(f"error: {args.embeddings}: {e}", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"{args.embeddings}: {e}") from e
+    report.update(n=int(z.shape[0]), dim=int(z.shape[1]))
     if args.out:
-        try:
-            _write_json(args.out, report)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DATA
+        _write_json(args.out, report)
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
     if args.dim not in (1, 2):
-        print(f"error: unsupported dimension {args.dim} (quadrature supports 1 and 2)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unsupported dimension {args.dim} (quadrature supports 1 and 2)")
     if args.sigma <= 0.0 or args.curvature <= 0.0:
-        print("error: sigma and curvature must be positive", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sigma and curvature must be positive")
     spec = density.AmbientDensitySpec(
         np.zeros(args.dim), args.sigma ** 2 * np.eye(args.dim), Curvature(args.curvature)
     )
@@ -330,18 +280,12 @@ def cmd_density(args) -> int:
     try:
         integral = density.integrate_density(spec, resolution=args.resolution)
     except ValueError as e:
-        print(f"error: --resolution {args.resolution}: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--resolution {args.resolution}: {e}") from e
     try:
         table = density.density_profile(spec, n_radii=args.n_radii)
     except ValueError as e:
-        print(f"error: --n-radii {args.n_radii}: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        density.write_profile_csv(args.out, table)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        raise ConfigError(f"--n-radii {args.n_radii}: {e}") from e
+    density.write_profile_csv(args.out, table)
     print(f"integral={integral:.6f}")
     return EXIT_OK
 
@@ -349,53 +293,41 @@ def cmd_density(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    try:
-        results = run_suite(args.suite)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = run_suite(args.suite)
     report = [
         {"suite": r.suite, "property": r.name, "passed": r.passed, "detail": r.detail} for r in results
     ]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.suite}/{r.name}: {r.detail}")
     if args.out:
-        try:
-            _write_json(args.out, report)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DATA
+        _write_json(args.out, report)
     failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
 def cmd_sweep(args) -> int:
+    cfg, cfg_out = parse_config(_load_config_file(args.config))
     try:
-        cfg, cfg_out = parse_config(_load_config_file(args.config))
         values = [float(v) for v in args.values.split(",") if v != ""]
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-        if not values:
-            raise ConfigError("--values must list at least one number")
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    if not values:
+        raise ConfigError("--values must list at least one number")
+    # every entry is checked before anything is written
+    for value in values:
+        _override(cfg, "--values", SWEEP_AXES[args.axis], value)
+    for seed in seeds or ():
+        _override(cfg, "--seeds", "seed", seed)
     out_dir = args.out or cfg_out
-    try:
-        _ensure_out_dir(out_dir)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "resolved_config.json"), _resolved_dict(cfg, out_dir))
     try:
         rows = sweep(cfg, args.axis, values, seeds=seeds)
     except NonFiniteLossError as e:
-        _write_json(
-            os.path.join(out_dir, "diagnostic.json"),
-            {"error": "non-finite loss", "step": e.step, "reason": e.reason},
-        )
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+        _write_diagnostic(out_dir, e)
+        raise
     write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
     print(f"wrote sweep.csv to {out_dir}")
     return EXIT_OK
@@ -450,7 +382,17 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # ConfigError is a ValueError, so it is caught first
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        code, err = EXIT_CONFIG, e
+    except NonFiniteLossError as e:
+        code, err = EXIT_NONFINITE, e
+    except (ValueError, OSError) as e:
+        code, err = EXIT_DATA, e
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -8,7 +8,7 @@ tape, so no graph is retained implicitly between steps.
 
 Shapes are restricted to scalars (), vectors (n,) and matrices (n, m);
 broadcasting is limited to the explicit row-wise ops (`rowscale`,
-`add_rowvec`, ...).
+`sub_rowvec`, ...).
 """
 from __future__ import annotations
 
@@ -345,14 +345,6 @@ def _expect_matrix(a: Tensor, opname: str):
         raise ValueError(f"{opname} expects a matrix, got shape {a.data.shape}")
 
 
-def rowsum(a: Tensor) -> Tensor:
-    _expect_matrix(a, "rowsum")
-    d = a.data.shape[1]
-    return _record(
-        "rowsum", np.sum(a.data, axis=1), (a,), lambda g: (np.repeat(g[:, None], d, axis=1),)
-    )
-
-
 def batch_mean(a: Tensor) -> Tensor:
     """Mean over rows: (n, d) -> (d,)."""
     _expect_matrix(a, "batch_mean")
@@ -410,13 +402,6 @@ def rowscale(a: Tensor, s: Tensor) -> Tensor:
         (a, s),
         lambda g: (g * s.data[:, None], np.sum(g * a.data, axis=1)),
     )
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    _expect_matrix(a, "add_rowvec")
-    if v.data.shape != (a.data.shape[1],):
-        raise ValueError(f"add_rowvec: vector shape {v.data.shape} vs cols {a.data.shape[1]}")
-    return _record("add_rowvec", a.data + v.data, (a, v), lambda g: (g, np.sum(g, axis=0)))
 
 
 def sub_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -499,14 +484,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     _expect_matrix(a, "transpose")
     return _record("transpose", a.data.T, (a,), lambda g: (g.T,))
-
-
-def outer(u: Tensor, v: Tensor) -> Tensor:
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ValueError("outer expects two vectors")
-    return _record(
-        "outer", np.outer(u.data, v.data), (u, v), lambda g: (g @ v.data, u.data @ g)
-    )
 
 
 def dot(u: Tensor, v: Tensor) -> Tensor:

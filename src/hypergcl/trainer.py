@@ -9,8 +9,9 @@ seeded: given identical configs, two runs produce bit-identical traces.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import math
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -32,9 +33,11 @@ __all__ = [
     "NonFiniteLossError",
     "Adam",
     "DATASET_KEYS",
+    "check_value",
     "make_synthetic",
     "build_dataset",
     "train",
+    "collapse_diagnostics",
     "linear_eval",
     "sweep",
     "SWEEP_AXES",
@@ -218,6 +221,40 @@ DATASET_KEYS = {
 }
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_finite_number(val) -> bool:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+_TYPE_CHECKS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_finite_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list[int]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def check_value(path: str, typ, val):
+    """val, stored as float for a float key; ValueError naming `path` if its JSON type is wrong."""
+    nullable = type(None) in get_args(typ)  # Optional[float]
+    if nullable:
+        if val is None:
+            return None
+        typ = float
+    what, ok = _TYPE_CHECKS[typ]
+    if not ok(val):
+        raise ValueError(f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}")
+    return float(val) if typ is float else val
+
+
 def _make_splits(labels: np.ndarray, train_per_class: int, rng) -> dict:
     train = []
     rest = []
@@ -253,16 +290,18 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
     balanced_tree(branching b >= 2, height h >= 2): a complete b-ary tree
     of depth h; each node's label is the root-child subtree it belongs to
     (the root joins subtree 0).  sbm(block_sizes, p_in > p_out): labels are
-    block ids.  Features are a noisy one-hot of the label.
+    block ids.  Features are a noisy one-hot of the label.  Each value is
+    checked by `check_value` against its type in `DATASET_KEYS`.
     """
     rng = np.random.default_rng(seed)
-    params = dict(params)
-    noise = float(params.pop("feature_noise", 0.3))
-    train_per_class = int(params.pop("train_per_class", 10))
+    keys = DATASET_KEYS.get(kind, {})
+    params = {k: check_value(f"dataset.{k}", keys[k], v) if k in keys else v for k, v in params.items()}
+    noise = params.pop("feature_noise", 0.3)
+    train_per_class = params.pop("train_per_class", 10)
     if kind == "balanced_tree":
         _require_keys(kind, params, "branching", "height")
-        b = int(params.pop("branching"))
-        h = int(params.pop("height"))
+        b = params.pop("branching")
+        h = params.pop("height")
         if params:
             raise ValueError(f"unknown balanced_tree params {sorted(params)}")
         if b < 2 or h < 2:
@@ -281,9 +320,9 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
         return Graph(n, edges, features, labels=labels, splits=splits)
     if kind == "sbm":
         _require_keys(kind, params, "block_sizes", "p_in", "p_out")
-        sizes = [int(s) for s in params.pop("block_sizes")]
-        p_in = float(params.pop("p_in"))
-        p_out = float(params.pop("p_out"))
+        sizes = params.pop("block_sizes")
+        p_in = params.pop("p_in")
+        p_out = params.pop("p_out")
         if params:
             raise ValueError(f"unknown sbm params {sorted(params)}")
         if not sizes or min(sizes) < 1:
@@ -362,17 +401,8 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
 
     def log_record(step: int, total: float, align: float, second: float):
         z = encode(graph, params, cfg.curvature, cfg.eps, adj=adj_full).data
-        y = _tangent_matrix(z, cfg.curvature)
         trace.records.append(
-            TraceRecord(
-                step=step,
-                total=total,
-                align=align,
-                iso=second,
-                erank_ambient=spectral.effective_rank(z),
-                erank_tangent=spectral.effective_rank(y),
-                mean_norm=float(np.mean(np.sqrt(np.sum(z * z, axis=1)))),
-            )
+            TraceRecord(step, total, align, second, **collapse_diagnostics(z, cfg.curvature))
         )
 
     for step in range(opt.steps):
@@ -410,6 +440,15 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
             except (NonFiniteError, NotSPDError) as e:
                 raise NonFiniteLossError(step, str(e), trace) from e
     return params, trace
+
+
+def collapse_diagnostics(z: np.ndarray, c: float) -> dict:
+    """Effective ranks of z and of its log0 map at curvature c, and z's mean row norm."""
+    return {
+        "erank_ambient": spectral.effective_rank(z),
+        "erank_tangent": spectral.effective_rank(_tangent_matrix(z, c)),
+        "mean_norm": float(np.mean(np.sqrt(np.sum(z * z, axis=1)))),
+    }
 
 
 def final_embedding(cfg: ExperimentConfig, params: GcnParams, graph: Graph) -> np.ndarray:
@@ -527,21 +566,14 @@ def sweep(base: ExperimentConfig, axis: str, values, seeds=None) -> list:
 # ------------------------------------------------------------------- file IO
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
+    """One column per `TraceRecord` field.
+
+    Every field holds an int or a Python float, which csv writes as its repr.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "total", "align", "iso", "erank_ambient", "erank_tangent", "mean_norm"])
-        for r in trace.records:
-            writer.writerow(
-                [
-                    r.step,
-                    repr(r.total),
-                    repr(r.align),
-                    repr(r.iso),
-                    repr(r.erank_ambient),
-                    repr(r.erank_tangent),
-                    repr(r.mean_norm),
-                ]
-            )
+        writer.writerow(f.name for f in fields(TraceRecord))
+        writer.writerows(astuple(r) for r in trace.records)
 
 
 def write_matrix_csv(matrix: np.ndarray, path) -> None:

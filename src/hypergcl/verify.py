@@ -178,7 +178,7 @@ def _scalarized_checks(rng) -> list:
     rvec = rng.standard_normal(d)
     idx = rng.integers(0, n, 6)
     wi = rng.standard_normal((6, d))
-    w55 = rng.standard_normal((5, 5))
+    rng.standard_normal((5, 5))  # unused; drawn so that the points after it stay fixed
     sp = SparseMatrix((n, n), [0, 1, 2, 3, 1], [1, 0, 3, 2, 2], [0.5, 0.5, 1.0, 1.0, 0.25])
     mask = rng.random(5) > 0.5
     big = rng.standard_normal((n, d)) * 3.0
@@ -205,14 +205,12 @@ def _scalarized_checks(rng) -> list:
         ("sum", lambda x: T.sum_all(x), a),
         ("mean", lambda x: T.mean_all(x), a),
         ("trace", lambda x: T.trace(x), sq),
-        ("rowsum", lambda x: ws(T.rowsum(x), wn), a),
         ("batch_mean", lambda x: T.sum_all(T.mul(T.batch_mean(x), Tensor(rvec))), a),
         ("rownorm2", lambda x: ws(T.rownorm2(x), wn), a),
         ("rownorm", lambda x: ws(T.rownorm(x), wn), a + 0.5),
         ("rowdot", lambda x: ws(T.rowdot(x, Tensor(other)), wn), a),
         ("rowscale-x", lambda x: ws(T.rowscale(x, Tensor(svec)), wm), a),
         ("rowscale-s", lambda s: T.sum_all(T.mul(T.rowscale(Tensor(a), s), Tensor(wm))), svec),
-        ("add_rowvec", lambda x: ws(T.add_rowvec(x, Tensor(rvec)), wm), a),
         ("sub_rowvec-v", lambda v: T.sum_all(T.mul(T.sub_rowvec(Tensor(a), v), Tensor(wm))), rvec),
         ("take_rows", lambda x: T.sum_all(T.mul(T.take_rows(x, idx), Tensor(wi))), a),
         ("cap-keep", lambda x: ws(T.cap_rownorms(x, 100.0), wm), a),
@@ -220,7 +218,6 @@ def _scalarized_checks(rng) -> list:
         ("matmul-a", lambda x: T.sum_all(T.mul(T.matmul(x, Tensor(mat2)), Tensor(w42))), a),
         ("matmul-b", lambda y: T.sum_all(T.mul(T.matmul(Tensor(a), y), Tensor(w42))), mat2),
         ("transpose", lambda x: T.sum_all(T.mul(T.transpose(x), Tensor(wm.T))), a),
-        ("outer", lambda x: T.sum_all(T.mul(T.outer(x, Tensor(pos)), Tensor(w55))), vec),
         ("dot", lambda x: T.dot(x, Tensor(wv)), vec),
         ("add_diag-logdet", lambda x: T.logdet(T.add_diag(x, 0.1)), spd),
         ("spmm", lambda x: ws(T.spmm(sp, x), wm), a),

@@ -2,6 +2,7 @@
 import copy
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -518,3 +519,104 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out1 / "embeddings.csv").read_bytes() != (out2 / "embeddings.csv").read_bytes()
     resolved = json.loads((out1 / "resolved_config.json").read_text())
     assert resolved["seed"] == 5
+
+
+# ------------------------------------------------------------ failure contract
+
+# (id, command line, exit code, part of the one `error:` line); {t} is the test's directory
+FAILURES = [
+    ("train-absent-config", "train --config {t}/absent.json --out {t}/out", 1, "cannot read config file"),
+    ("train-broken-config", "train --config {t}/broken.json --out {t}/out", 1, "config is not valid JSON"),
+    ("train-unknown-key", "train --config {t}/unknown.json --out {t}/out", 1, "unknown config key 'lamda'"),
+    ("train-negative-seed", "train --config {t}/base.json --out {t}/out --seed -1", 1, "--seed -1: seed must be"),
+    ("train-no-out", "train --config {t}/base.json", 2, "no output directory given"),
+    ("train-unwritable-out", "train --config {t}/base.json --out {t}/blocker/sub", 2, "blocker"),
+    ("train-missing-key", "train --config {t}/no-height.json --out {t}/out", 2, "key 'dataset.height'"),
+    ("train-nonfinite", "train --config {t}/nonfinite.json --out {t}/out", 3, "non-finite loss at step"),
+    ("eval-absent-file", "eval --embeddings {t}/absent.csv --labels {t}/y.csv --splits {t}/s.json", 2, "absent.csv"),
+    ("eval-short-labels", "eval --embeddings {t}/emb.csv --labels {t}/y.csv --splits {t}/s.json", 2, "2 labels for 4"),
+    ("diagnose-absent-file", "diagnose --embeddings {t}/absent.csv", 2, "absent.csv"),
+    ("diagnose-all-zero", "diagnose --embeddings {t}/zero.csv", 2, "zero.csv: effective rank of an all-zero"),
+    ("diagnose-unwritable-out", "diagnose --embeddings {t}/emb.csv --out {t}/blocker/d.json", 2, "blocker"),
+    ("density-dim", "density --sigma 1 --curvature 1 --dim 3 --out {t}/out", 1, "unsupported dimension 3"),
+    ("density-sigma", "density --sigma 0 --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
+    ("density-resolution", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --resolution 10", 1,
+     "--resolution 10: "),
+    ("density-n-radii", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --n-radii 1", 1, "--n-radii 1: "),
+    ("density-unwritable-out", "density --sigma 1 --curvature 1 --dim 1 --out {t}/blocker/p.csv", 2, "blocker"),
+    ("verify-unwritable-out", "verify --suite geometry --out {t}/blocker/r.json", 2, "blocker"),
+    ("sweep-broken-config", "sweep --config {t}/broken.json --axis curvature --values 1 --out {t}/out", 1,
+     "not valid JSON"),
+    ("sweep-no-values", "sweep --config {t}/base.json --axis curvature --values '' --out {t}/out", 1, "at least one"),
+    ("sweep-bad-value", "sweep --config {t}/base.json --axis curvature --values 1,x --out {t}/out", 1, "to float: 'x'"),
+    ("sweep-bad-seed", "sweep --config {t}/base.json --axis curvature --values 1 --seeds 0,0.5 --out {t}/out", 1,
+     "invalid literal for int()"),
+    ("sweep-refused-value", "sweep --config {t}/base.json --axis gaussian_isotropy --values 0.5,2 --out {t}/out", 1,
+     "--values 2.0: isotropy_degrade_p must lie in [0, 1]"),
+    ("sweep-refused-curvature", "sweep --config {t}/base.json --axis curvature --values 1,-1 --out {t}/out", 1,
+     "--values -1.0: curvature must be positive"),
+    ("sweep-negative-seed", "sweep --config {t}/base.json --axis curvature --values 1 --seeds 0,-1 --out {t}/out", 1,
+     "--seeds -1: seed must be nonnegative"),
+    ("sweep-missing-key", "sweep --config {t}/no-height.json --axis curvature --values 1 --out {t}/out", 2,
+     "key 'dataset.height'"),
+    ("sweep-unwritable-out", "sweep --config {t}/base.json --axis curvature --values 1 --out {t}/blocker/sub", 2,
+     "blocker"),
+    ("sweep-nonfinite", "sweep --config {t}/nonfinite.json --axis curvature --values 1 --out {t}/out", 3,
+     "non-finite loss at step"),
+]
+
+
+def _failure_inputs(tmp_path):
+    write_config(tmp_path, name="base.json")
+    write_config(tmp_path, extra={"lamda": 1.0}, name="unknown.json")
+    write_config(tmp_path, extra={"dataset": {"kind": "balanced_tree", "branching": 2}}, name="no-height.json")
+    write_config(tmp_path, extra={"optimizer": {"learning_rate": 1e160, "steps": 40}}, name="nonfinite.json")
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "blocker").write_text("")  # a file where a directory should go
+    (tmp_path / "zero.csv").write_text("0,0\n0,0\n0,0\n")
+    (tmp_path / "emb.csv").write_text("0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
+    (tmp_path / "y.csv").write_text("label\n0\n1\n")
+    (tmp_path / "s.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 3]}))
+
+
+@pytest.mark.parametrize("command, code, message", [f[1:] for f in FAILURES], ids=[f[0] for f in FAILURES])
+def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, command, code, message):
+    _failure_inputs(tmp_path)
+    assert cli.main(shlex.split(command.format(t=tmp_path))) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+    if code == 1:
+        # refused before anything is written: no output directory, so no resolved_config.json
+        assert not (tmp_path / "out").exists()
+    if code == 3:
+        assert json.loads((tmp_path / "out" / "diagnostic.json").read_text())["error"] == "non-finite loss"
+        assert (tmp_path / "out" / "trace.csv").exists() == command.startswith("train")  # train's partial trace
+
+
+class _Stop(BaseException):
+    """Stands in for an exception no handler in the package may catch."""
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, TypeError, _Stop])
+def test_other_exceptions_propagate_out_of_main(tmp_path, monkeypatch, exc):
+    def interrupted(*args, **kwargs):
+        raise exc("stop")
+
+    monkeypatch.setattr(cli, "train", interrupted)
+    with pytest.raises(exc):
+        cli.main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")])
+
+
+def test_diagnose_reads_what_the_trace_logged(tmp_path, capsys):
+    # `diagnose` and the training log share one function, so the saved final
+    # embeddings give back the last trace record's values exactly
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert cli.main(["diagnose", "--embeddings", str(out / "embeddings.csv"), "--curvature", "1.0"]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+    for key in ("erank_ambient", "erank_tangent", "mean_norm"):
+        assert report[key] == last[key], key

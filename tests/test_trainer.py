@@ -80,6 +80,22 @@ def test_dataset_missing_key_is_named(kind, params, missing):
         build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("balanced_tree", {"branching": 2.9, "height": 3}, "branching"),
+        ("balanced_tree", {"branching": "3", "height": 3}, "branching"),
+        ("sbm", {"block_sizes": [5.7, 5], "p_in": 0.5, "p_out": 0.1}, "block_sizes"),
+        ("balanced_tree", {"branching": 2, "height": True}, "height"),
+    ],
+    ids=["float-int", "string-int", "float-in-int-list", "bool-int"],
+)
+def test_dataset_values_are_type_checked(kind, params, key):
+    # the API refuses what the CLI refuses, instead of truncating 2.9 to 2
+    with pytest.raises(ValueError, match=f"config key 'dataset.{key}' must be "):
+        build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
+
+
 def test_sbm_expected_cut_edges():
     cuts = []
     for s in range(30):
