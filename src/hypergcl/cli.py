@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 config/usage error, 2 dataset or output-path error,
 `main` alone turns a failure into an exit code and one `error: ...` line:
 `ConfigError` is 1, any other `ValueError` or `OSError` is 2 and
 `NonFiniteLossError` is 3; a command returns 4 itself when properties fail.
-Every other exception propagates.
+A command-line usage error is a `ConfigError` too.  Every other exception
+propagates.
 """
 from __future__ import annotations
 
@@ -56,6 +57,21 @@ EXIT_VERIFY = 4
 
 class ConfigError(ValueError):
     """Configuration file problem; the message names the offending key."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise `ConfigError` instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _curvature(text: str) -> float:
+    """A --curvature value, checked by `Curvature`."""
+    try:
+        return Curvature(float(text)).c
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 # The JSON "loss" section holds the LossWeights fields and these
@@ -270,11 +286,9 @@ def cmd_diagnose(args) -> int:
 def cmd_density(args) -> int:
     if args.dim not in (1, 2):
         raise ConfigError(f"unsupported dimension {args.dim} (quadrature supports 1 and 2)")
-    if args.sigma <= 0.0 or args.curvature <= 0.0:
+    if not 0.0 < args.sigma < np.inf:  # the parser has checked curvature
         raise ConfigError("sigma and curvature must be positive")
-    spec = density.AmbientDensitySpec(
-        np.zeros(args.dim), args.sigma ** 2 * np.eye(args.dim), Curvature(args.curvature)
-    )
+    spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
     # dim, sigma and curvature are checked above, so a ValueError here is
     # about the grid size named by the flag
     try:
@@ -334,7 +348,7 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypergcl",
         description="Hyperbolic graph contrastive learning: training, diagnostics and density tools.",
     )
@@ -350,18 +364,18 @@ def main(argv=None) -> int:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--curvature", type=float, default=None, help="map by log0 before the probe")
+    p.add_argument("--curvature", type=_curvature, default=None, help="map by log0 before the probe")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("diagnose", help="effective ranks of a saved embedding matrix")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--curvature", type=float, default=1.0)
+    p.add_argument("--curvature", type=_curvature, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("density", help="radial profile and integral of the push-forward density")
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--curvature", type=float, required=True)
+    p.add_argument("--curvature", type=_curvature, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resolution", type=int, default=2048)
@@ -381,9 +395,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 
-    args = parser.parse_args(argv)
     # ConfigError is a ValueError, so it is caught first
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as e:
         code, err = EXIT_CONFIG, e

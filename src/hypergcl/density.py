@@ -15,7 +15,7 @@ grids of millions of points.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,17 +44,17 @@ class AmbientDensitySpec:
     mu: np.ndarray
     sigma: np.ndarray
     curvature: Curvature
+    chol: np.ndarray = field(init=False, repr=False)  # sigma's lower Cholesky factor, set once
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float)
         sigma = np.array(self.sigma, dtype=float)
         if mu.ndim != 1 or sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError(f"inconsistent spec shapes: mu {mu.shape}, sigma {sigma.shape}")
-        cholesky(sigma)  # raises NotSPDError unless SPD
-        mu.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        chol = cholesky(sigma)  # raises NotSPDError unless SPD
+        for name, arr in (("mu", mu), ("sigma", sigma), ("chol", chol)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -78,13 +78,12 @@ def _g_factor(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mvn_logpdf(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    d = mu.shape[0]
-    L = cholesky(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    w = solve_lower(L, (y - mu).T)
+def _mvn_logpdf(y: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
+    """log N(y; mu, sigma) per row of y, from the spec's Cholesky factor."""
+    logdet = 2.0 * np.sum(np.log(np.diag(spec.chol)))
+    w = solve_lower(spec.chol, (y - spec.mu).T)
     quad = np.sum(w * w, axis=0)
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    return -0.5 * (spec.dim * np.log(2.0 * np.pi) + logdet + quad)
 
 
 def ambient_density_grid(z: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
@@ -103,7 +102,7 @@ def ambient_density_grid(z: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
     g = _g_factor(x)
     y = zi * g[:, None]  # log0(z)
     lam = 2.0 / (1.0 - r2[inside])
-    logpdf = _mvn_logpdf(y, spec.mu, spec.sigma)
+    logpdf = _mvn_logpdf(y, spec)
     out[inside] = np.exp(logpdf) * 0.5 * lam * g ** (spec.dim - 1)
     return out
 
@@ -114,8 +113,6 @@ def ambient_density(z, spec: AmbientDensitySpec) -> float:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 1:
         raise ValueError("ambient_density expects a single point")
-    if spec.curvature.c * float(coords @ coords) >= 1.0:
-        return 0.0
     return float(ambient_density_grid(coords[None, :], spec)[0])
 
 
@@ -128,7 +125,7 @@ def sample_ambient(n: int, spec: AmbientDensitySpec, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, spec.dim))
-    y = spec.mu + u @ cholesky(spec.sigma).T
+    y = spec.mu + u @ spec.chol.T
     sc = np.sqrt(spec.curvature.c)
     r = np.sqrt(np.sum(y * y, axis=1))
     t = np.minimum(np.tanh(sc * r), np.nextafter(1.0, 0.0))
@@ -169,25 +166,34 @@ def integrate_density(spec: AmbientDensitySpec, resolution: int = 2048) -> float
     return total
 
 
-def density_profile(spec: AmbientDensitySpec, n_radii: int, eps: float = 1e-5) -> np.ndarray:
-    """(radius, density) pairs on a uniform radial grid in [0, (1-eps)*R].
-
-    Only isotropic covariances are accepted; the density is then a function
-    of the radius alone.
-    """
+def _check_isotropic(spec: AmbientDensitySpec, fname: str) -> None:
+    """Refuse a spec whose density is not a function of the radius alone."""
     sigma = spec.sigma
     iso = sigma[0, 0] * np.eye(spec.dim)
     if not np.allclose(sigma, iso, rtol=0.0, atol=1e-12 * max(sigma[0, 0], 1.0)):
-        raise ValueError("density_profile requires an isotropic covariance sigma^2 * I")
+        raise ValueError(f"{fname} requires an isotropic covariance sigma^2 * I")
     if np.any(spec.mu != 0.0):
-        raise ValueError("density_profile requires a zero mean")
+        raise ValueError(f"{fname} requires a zero mean")
+
+
+def _on_axis(spec: AmbientDensitySpec, radii: np.ndarray) -> np.ndarray:
+    """Density at the points (r, 0, ..., 0): the radial profile of an isotropic spec."""
+    pts = np.zeros((radii.shape[0], spec.dim))
+    pts[:, 0] = radii
+    return ambient_density_grid(pts, spec)
+
+
+def density_profile(spec: AmbientDensitySpec, n_radii: int, eps: float = 1e-5) -> np.ndarray:
+    """(radius, density) pairs on a uniform radial grid in [0, (1-eps)*R].
+
+    Only zero-mean isotropic covariances are accepted; the density is then a
+    function of the radius alone.
+    """
+    _check_isotropic(spec, "density_profile")
     if n_radii < 2:
         raise ValueError("need at least two radii")
     radii = np.linspace(0.0, (1.0 - eps) * spec.curvature.radius, n_radii)
-    pts = np.zeros((n_radii, spec.dim))
-    pts[:, 0] = radii
-    dens = ambient_density_grid(pts, spec)
-    return np.column_stack([radii, dens])
+    return np.column_stack([radii, _on_axis(spec, radii)])
 
 
 def radial_cdf(spec: AmbientDensitySpec, radii: np.ndarray, grid: int = 8192) -> np.ndarray:
@@ -196,17 +202,12 @@ def radial_cdf(spec: AmbientDensitySpec, radii: np.ndarray, grid: int = 8192) ->
     Isotropic zero-mean specs only (the radial marginal is well defined
     there): f(r) = 2 p(r) in 1-D and 2 pi r p(r) in 2-D.
     """
-    sigma = spec.sigma
-    if not np.allclose(sigma, sigma[0, 0] * np.eye(spec.dim)) or np.any(spec.mu != 0.0):
-        raise ValueError("radial_cdf requires a zero-mean isotropic spec")
+    _check_isotropic(spec, "radial_cdf")
     if spec.dim not in (1, 2):
         raise ValueError("radial_cdf supports d in {1, 2}")
-    radius = spec.curvature.radius
-    h = radius / grid
+    h = spec.curvature.radius / grid
     rs = h * (np.arange(grid) + 0.5)
-    pts = np.zeros((grid, spec.dim))
-    pts[:, 0] = rs
-    dens = ambient_density_grid(pts, spec)
+    dens = _on_axis(spec, rs)
     f = 2.0 * dens if spec.dim == 1 else 2.0 * np.pi * rs * dens
     cum = np.concatenate([[0.0], np.cumsum(f) * h])
     edges = np.concatenate([[0.0], rs + 0.5 * h])

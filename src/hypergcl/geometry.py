@@ -144,74 +144,57 @@ def conformal_rows(x: Tensor, c: float) -> Tensor:
     return T.vrecip(T.smul(T.sadd(r2, 1.0), 0.5))
 
 
-def _safe_rownorm(v: Tensor):
-    """Row norms plus a NaN-free reciprocal lane for zero rows.
+def _scale_rows(v: Tensor, c: float, factor, at_zero: float) -> Tensor:
+    """Rows of v scaled by factor(norm, sqrt(c)), and by the exact limit `at_zero` on zero rows.
 
-    Returns (norm tensor, zero-row mask, safe-denominator tensor).  The safe
-    lane replaces zero norms with one so downstream divisions never produce
-    non-finite values; callers select the exact limit value with `where`.
+    `factor` sees zero norms replaced by one, so it never divides by zero.
     """
     n = T.rownorm(v)
     zero = n.data == 0.0
-    ones = T.constant(np.ones_like(n.data))
-    n_safe = T.where(~zero, n, ones)
-    return n, zero, n_safe
+    n_safe = T.where(~zero, n, T.constant(np.ones_like(n.data)))
+    f = T.where(~zero, factor(n_safe, float(np.sqrt(c))), T.constant(np.full_like(n.data, at_zero)))
+    return T.rowscale(v, f)
+
+
+def _artanh_scaled(n: Tensor, sc: float) -> Tensor:
+    """artanh(sqrt(c) n), with the argument clamped below the boundary."""
+    return T.artanh(T.clip(T.smul(n, sc), 0.0, ARTANH_CLAMP))
 
 
 def exp0_rows(v: Tensor, c: float) -> Tensor:
     """Exponential map at the origin, rows of tangent vectors -> ball points."""
-    sc = float(np.sqrt(c))
-    n, zero, n_safe = _safe_rownorm(v)
-    scaled = T.smul(n_safe, sc)
-    factor = T.vdiv(T.tanh(scaled), scaled)
-    ones = T.constant(np.ones_like(n.data))
-    factor = T.where(~zero, factor, ones)
-    return T.rowscale(v, factor)
+
+    def factor(n, sc):
+        scaled = T.smul(n, sc)
+        return T.vdiv(T.tanh(scaled), scaled)
+
+    return _scale_rows(v, c, factor, 1.0)
 
 
 def log0_rows(z: Tensor, c: float) -> Tensor:
     """Logarithmic map at the origin, rows of ball points -> tangent vectors."""
-    sc = float(np.sqrt(c))
-    n, zero, n_safe = _safe_rownorm(z)
-    arg = T.clip(T.smul(n_safe, sc), 0.0, ARTANH_CLAMP)
-    factor = T.vdiv(T.artanh(arg), T.smul(n_safe, sc))
-    ones = T.constant(np.ones_like(n.data))
-    factor = T.where(~zero, factor, ones)
-    return T.rowscale(z, factor)
+    return _scale_rows(z, c, lambda n, sc: T.vdiv(_artanh_scaled(n, sc), T.smul(n, sc)), 1.0)
 
 
 def expmap_rows(x: Tensor, v: Tensor, c: float) -> Tensor:
     """Exponential map at arbitrary base points (row-aligned)."""
-    sc = float(np.sqrt(c))
     lam = conformal_rows(x, c)
-    n, zero, n_safe = _safe_rownorm(v)
-    half_arg = T.smul(T.mul(lam, n_safe), sc / 2.0)
-    factor = T.vdiv(T.tanh(half_arg), T.smul(n_safe, sc))
-    zeros = T.constant(np.zeros_like(n.data))
-    factor = T.where(~zero, factor, zeros)
-    return mobius_add_rows(x, T.rowscale(v, factor), c)
+    v = _scale_rows(v, c, lambda n, sc: T.vdiv(T.tanh(T.smul(T.mul(lam, n), sc / 2.0)), T.smul(n, sc)), 0.0)
+    return mobius_add_rows(x, v, c)
 
 
 def logmap_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     """Logarithmic map at arbitrary base points (row-aligned)."""
-    sc = float(np.sqrt(c))
     lam = conformal_rows(x, c)
     m = mobius_add_rows(T.neg(x), y, c)
-    n, zero, n_safe = _safe_rownorm(m)
-    arg = T.clip(T.smul(n_safe, sc), 0.0, ARTANH_CLAMP)
-    factor = T.vdiv(T.smul(T.artanh(arg), 2.0 / sc), T.mul(lam, n_safe))
-    zeros = T.constant(np.zeros_like(n.data))
-    factor = T.where(~zero, factor, zeros)
-    return T.rowscale(m, factor)
+    return _scale_rows(m, c, lambda n, sc: T.vdiv(T.smul(_artanh_scaled(n, sc), 2.0 / sc), T.mul(lam, n)), 0.0)
 
 
 def distance_rows(p: Tensor, q: Tensor, c: float) -> Tensor:
     """Riemannian distance per row: (2/sqrt(c)) artanh(sqrt(c) ||-p (+) q||)."""
     sc = float(np.sqrt(c))
     m = mobius_add_rows(T.neg(p), q, c)
-    r = T.rownorm(m)
-    arg = T.clip(T.smul(r, sc), 0.0, ARTANH_CLAMP)
-    return T.smul(T.artanh(arg), 2.0 / sc)
+    return T.smul(_artanh_scaled(T.rownorm(m), sc), 2.0 / sc)
 
 
 def project_rows(z: Tensor, c: float, eps: float) -> Tensor:
@@ -227,6 +210,14 @@ def _rows(p: PoincarePoint) -> Tensor:
     return Tensor(p.coords[None, :])
 
 
+def _inside(out: np.ndarray, c: Curvature) -> PoincarePoint:
+    """The point at out, pulled back just inside the boundary if rounding put it on or beyond it."""
+    nrm2 = c.c * float(out @ out)
+    if nrm2 >= 1.0:
+        out = out * (ARTANH_CLAMP / np.sqrt(nrm2))
+    return PoincarePoint(out, c)
+
+
 def mobius_add(u: PoincarePoint, v: PoincarePoint, c: Curvature) -> PoincarePoint:
     """Möbius addition of two ball points.
 
@@ -234,11 +225,7 @@ def mobius_add(u: PoincarePoint, v: PoincarePoint, c: Curvature) -> PoincarePoin
     only) event that it lands on it.
     """
     _check_pair(u, v, c, "mobius_add")
-    out = mobius_add_rows(_rows(u), _rows(v), c.c).data[0]
-    nrm2 = c.c * float(out @ out)
-    if nrm2 >= 1.0:
-        out = out * (ARTANH_CLAMP / np.sqrt(nrm2))
-    return PoincarePoint(out, c)
+    return _inside(mobius_add_rows(_rows(u), _rows(v), c.c).data[0], c)
 
 
 def conformal_factor(x: PoincarePoint, c: Curvature) -> float:
@@ -258,13 +245,12 @@ def exp_map(x: PoincarePoint, v: TangentVector, c: Curvature) -> PoincarePoint:
         raise ValueError("exp_map: curvature mismatch")
     if not np.any(v.coords):
         return x
-    out = expmap_rows(_rows(x), Tensor(v.coords[None, :]), c.c).data[0]
-    nrm2 = c.c * float(out @ out)
-    if nrm2 >= 1.0:
-        out = out * (ARTANH_CLAMP / np.sqrt(nrm2))
-    return PoincarePoint(out, c)
+    return _inside(expmap_rows(_rows(x), Tensor(v.coords[None, :]), c.c).data[0], c)
 
 
+# log_map and distance return the exact zero for coincident points: near the
+# boundary the Möbius denominator of -x (+) x cancels to 0 and the row API
+# would raise NonFiniteError.
 def log_map(x: PoincarePoint, y: PoincarePoint, c: Curvature) -> TangentVector:
     _check_pair(x, y, c, "log_map")
     if np.array_equal(x.coords, y.coords):

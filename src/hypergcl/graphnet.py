@@ -93,13 +93,6 @@ class GcnParams:
     def all_tensors(self) -> list[Tensor]:
         return [self.theta1, self.theta2, self.slopes[0], self.slopes[1]]
 
-    def clone(self) -> "GcnParams":
-        return GcnParams(
-            Tensor(self.theta1.data.copy()),
-            Tensor(self.theta2.data.copy()),
-            (Tensor(self.slopes[0].data.copy()), Tensor(self.slopes[1].data.copy())),
-        )
-
 
 @dataclass(frozen=True)
 class AugmentationConfig:

@@ -30,7 +30,6 @@ __all__ = [
     "tangent_moments_tensors",
     "effective_rank",
     "covariance_effective_rank",
-    "singular_spectrum",
     "gaussian_kl",
     "gaussian_kl_tensors",
     "erank_bound_check",
@@ -112,17 +111,20 @@ def tangent_moments_tensors(z: Tensor, c: float) -> tuple[Tensor, Tensor]:
     return mu, sigma
 
 
-def tangent_moments(z, c) -> CovarianceSummary:
-    """Moments of a batch given as an (n, d) array or a sequence of points."""
-    if isinstance(z, Tensor):
-        mat = z.data
-        cval = float(c)
-    elif isinstance(z, np.ndarray):
-        mat = z
-        cval = c.c if isinstance(c, geom.Curvature) else float(c)
+def _batch(points, c) -> tuple[np.ndarray, float]:
+    """An (n, d) array from a Tensor, an array or a sequence of points, and c as a float."""
+    if isinstance(points, Tensor):
+        mat = points.data
+    elif isinstance(points, np.ndarray):
+        mat = points
     else:
-        mat = geom.points_to_matrix(z)
-        cval = c.c if isinstance(c, geom.Curvature) else float(c)
+        mat = geom.points_to_matrix(points)
+    return mat, c.c if isinstance(c, geom.Curvature) else float(c)
+
+
+def tangent_moments(z, c) -> CovarianceSummary:
+    """Moments of a batch given as a Tensor, an (n, d) array or a sequence of points."""
+    mat, cval = _batch(z, c)
     mu, sigma = tangent_moments_tensors(Tensor(mat), cval)
     sym = (sigma.data + sigma.data.T) / 2.0
     return CovarianceSummary(mu.data, sym)
@@ -137,10 +139,6 @@ def _entropy_erank(values: np.ndarray) -> float:
     p = np.abs(values) / total
     p = p[p > 0.0]
     return float(np.exp(-np.sum(p * np.log(p))))
-
-
-def singular_spectrum(m: np.ndarray) -> SingularSpectrum:
-    return SingularSpectrum(jacobi_svd_values(np.asarray(m, dtype=float)))
 
 
 def effective_rank(m: Union[np.ndarray, SingularSpectrum]) -> float:
@@ -227,12 +225,7 @@ def tree_distortion(tree_dists: np.ndarray, points, c) -> tuple[float, float]:
         raise ValueError("tree distance matrix must be symmetric")
     if np.any(np.diag(td) != 0.0):
         raise ValueError("tree distance matrix must have a zero diagonal")
-    if isinstance(points, np.ndarray):
-        mat = points
-        cval = c.c if isinstance(c, geom.Curvature) else float(c)
-    else:
-        mat = geom.points_to_matrix(points)
-        cval = c.c if isinstance(c, geom.Curvature) else float(c)
+    mat, cval = _batch(points, c)
     n = mat.shape[0]
     if n != td.shape[0]:
         raise ValueError(f"point count {n} does not match distance matrix {td.shape[0]}")

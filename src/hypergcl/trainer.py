@@ -138,8 +138,10 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
 
     def __post_init__(self):
-        if self.curvature <= 0.0:
-            raise ValueError("curvature must be positive")
+        if not 0.0 < self.curvature < math.inf:
+            raise ValueError("curvature must be positive and finite")
+        if not math.isfinite(self.target_mean):
+            raise ValueError("target_mean must be finite")
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         if self.variant not in losses.VARIANTS:
@@ -219,6 +221,12 @@ DATASET_KEYS = {
     },
     "files": {"edges": str, "features": str, "labels": str, "splits": str},
 }
+# dataset kind -> the keys it cannot do without
+_REQUIRED_KEYS = {
+    "balanced_tree": ("branching", "height"),
+    "sbm": ("block_sizes", "p_in", "p_out"),
+    "files": ("edges", "features"),
+}
 
 
 def _is_int(val) -> bool:
@@ -277,11 +285,18 @@ def _noisy_onehot(labels: np.ndarray, num_classes: int, noise: float, rng) -> np
     return x + noise * rng.standard_normal(x.shape)
 
 
-def _require_keys(kind: str, params: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in params]
+def _dataset_params(kind: str, params: dict) -> dict:
+    """params, each value checked by `check_value` against `DATASET_KEYS`; missing or unknown keys refused."""
+    keys = DATASET_KEYS[kind]
+    checked = {k: check_value(f"dataset.{k}", keys[k], v) if k in keys else v for k, v in params.items()}
+    missing = [k for k in _REQUIRED_KEYS[kind] if k not in params]
     if missing:
         names = ", ".join(f"'dataset.{k}'" for k in missing)
         raise ValueError(f"{kind} dataset is missing config key {names}")
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {kind} params {unknown}")
+    return checked
 
 
 def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
@@ -290,20 +305,17 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
     balanced_tree(branching b >= 2, height h >= 2): a complete b-ary tree
     of depth h; each node's label is the root-child subtree it belongs to
     (the root joins subtree 0).  sbm(block_sizes, p_in > p_out): labels are
-    block ids.  Features are a noisy one-hot of the label.  Each value is
-    checked by `check_value` against its type in `DATASET_KEYS`.
+    block ids.  Features are a noisy one-hot of the label.  The params are
+    checked by `_dataset_params`.
     """
+    if kind not in ("balanced_tree", "sbm"):
+        raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)
-    keys = DATASET_KEYS.get(kind, {})
-    params = {k: check_value(f"dataset.{k}", keys[k], v) if k in keys else v for k, v in params.items()}
-    noise = params.pop("feature_noise", 0.3)
-    train_per_class = params.pop("train_per_class", 10)
+    params = _dataset_params(kind, params)
+    noise = params.get("feature_noise", 0.3)
+    train_per_class = params.get("train_per_class", 10)
     if kind == "balanced_tree":
-        _require_keys(kind, params, "branching", "height")
-        b = params.pop("branching")
-        h = params.pop("height")
-        if params:
-            raise ValueError(f"unknown balanced_tree params {sorted(params)}")
+        b, h = params["branching"], params["height"]
         if b < 2 or h < 2:
             raise ValueError("balanced_tree needs branching >= 2 and height >= 2")
         n = (b ** (h + 1) - 1) // (b - 1)
@@ -318,35 +330,27 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
         features = _noisy_onehot(labels, b, noise, rng)
         splits = _make_splits(labels, train_per_class, rng)
         return Graph(n, edges, features, labels=labels, splits=splits)
-    if kind == "sbm":
-        _require_keys(kind, params, "block_sizes", "p_in", "p_out")
-        sizes = params.pop("block_sizes")
-        p_in = params.pop("p_in")
-        p_out = params.pop("p_out")
-        if params:
-            raise ValueError(f"unknown sbm params {sorted(params)}")
-        if not sizes or min(sizes) < 1:
-            raise ValueError("sbm needs nonempty positive block sizes")
-        if not (0.0 <= p_out < p_in <= 1.0):
-            raise ValueError("sbm requires 0 <= p_out < p_in <= 1")
-        n = sum(sizes)
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        iu, ju = np.triu_indices(n, k=1)
-        prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-        keep = rng.random(iu.size) < prob
-        edges = np.column_stack([iu[keep], ju[keep]])
-        features = _noisy_onehot(labels, len(sizes), noise, rng)
-        splits = _make_splits(labels, train_per_class, rng)
-        return Graph(n, edges, features, labels=labels, splits=splits)
-    raise ValueError(f"unknown synthetic kind {kind!r}")
+    sizes, p_in, p_out = params["block_sizes"], params["p_in"], params["p_out"]
+    if not sizes or min(sizes) < 1:
+        raise ValueError("sbm needs nonempty positive block sizes")
+    if not (0.0 <= p_out < p_in <= 1.0):
+        raise ValueError("sbm requires 0 <= p_out < p_in <= 1")
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < prob
+    edges = np.column_stack([iu[keep], ju[keep]])
+    features = _noisy_onehot(labels, len(sizes), noise, rng)
+    splits = _make_splits(labels, train_per_class, rng)
+    return Graph(n, edges, features, labels=labels, splits=splits)
 
 
 def build_dataset(cfg: DatasetConfig, seed: int) -> Graph:
     if cfg.kind == "files":
         from .graphnet import load_graph
 
-        p = cfg.params
-        _require_keys(cfg.kind, p, "edges", "features")
+        p = _dataset_params(cfg.kind, cfg.params)
         return load_graph(p["edges"], p["features"], p.get("labels"), p.get("splits"))
     return make_synthetic(cfg.kind, cfg.params, seed)
 

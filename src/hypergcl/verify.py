@@ -306,7 +306,7 @@ def density_suite(seed: int = 20240503) -> list:
         r2 = np.sum(z * z, axis=1)
         g = np.arctanh(np.sqrt(r2)) / np.sqrt(r2)
         lam = 2.0 / (1.0 - r2)
-        pn = np.exp(density._mvn_logpdf(y, spec.mu, spec.sigma))
+        pn = np.exp(density._mvn_logpdf(y, spec))
         rhs = pn * 0.5 * lam * g ** (d - 1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     out.append(

@@ -530,16 +530,28 @@ FAILURES = [
     ("train-unknown-key", "train --config {t}/unknown.json --out {t}/out", 1, "unknown config key 'lamda'"),
     ("train-negative-seed", "train --config {t}/base.json --out {t}/out --seed -1", 1, "--seed -1: seed must be"),
     ("train-no-out", "train --config {t}/base.json", 2, "no output directory given"),
+    ("train-no-config", "train --out {t}/out", 1, "the following arguments are required: --config"),
+    ("train-seed-not-int", "train --config {t}/base.json --out {t}/out --seed abc", 1,
+     "argument --seed: invalid int value: 'abc'"),
+    ("unknown-command", "bogus --out {t}/out", 1, "argument command: invalid choice: 'bogus'"),
     ("train-unwritable-out", "train --config {t}/base.json --out {t}/blocker/sub", 2, "blocker"),
     ("train-missing-key", "train --config {t}/no-height.json --out {t}/out", 2, "key 'dataset.height'"),
     ("train-nonfinite", "train --config {t}/nonfinite.json --out {t}/out", 3, "non-finite loss at step"),
     ("eval-absent-file", "eval --embeddings {t}/absent.csv --labels {t}/y.csv --splits {t}/s.json", 2, "absent.csv"),
     ("eval-short-labels", "eval --embeddings {t}/emb.csv --labels {t}/y.csv --splits {t}/s.json", 2, "2 labels for 4"),
+    *[(f"{cmd}-curvature-{v}", f"{cmd} --embeddings {{t}}/emb.csv{extra} --curvature {v}", 1,
+       f"argument --curvature: curvature must be a positive real, got {float(v)}")
+      for cmd, extra in (("eval", " --labels {t}/y4.csv --splits {t}/s.json"), ("diagnose", ""))
+      for v in ("-1", "0", "nan", "inf")],
     ("diagnose-absent-file", "diagnose --embeddings {t}/absent.csv", 2, "absent.csv"),
     ("diagnose-all-zero", "diagnose --embeddings {t}/zero.csv", 2, "zero.csv: effective rank of an all-zero"),
     ("diagnose-unwritable-out", "diagnose --embeddings {t}/emb.csv --out {t}/blocker/d.json", 2, "blocker"),
     ("density-dim", "density --sigma 1 --curvature 1 --dim 3 --out {t}/out", 1, "unsupported dimension 3"),
     ("density-sigma", "density --sigma 0 --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
+    ("density-sigma-nan", "density --sigma nan --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
+    ("density-sigma-inf", "density --sigma inf --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
+    ("density-curvature", "density --sigma 1 --curvature 0 --dim 1 --out {t}/out", 1,
+     "argument --curvature: curvature must be a positive real, got 0.0"),
     ("density-resolution", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --resolution 10", 1,
      "--resolution 10: "),
     ("density-n-radii", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --n-radii 1", 1, "--n-radii 1: "),
@@ -555,6 +567,10 @@ FAILURES = [
      "--values 2.0: isotropy_degrade_p must lie in [0, 1]"),
     ("sweep-refused-curvature", "sweep --config {t}/base.json --axis curvature --values 1,-1 --out {t}/out", 1,
      "--values -1.0: curvature must be positive"),
+    *[(f"sweep-{axis}-{v}", f"sweep --config {{t}}/base.json --axis {axis} --values 1,{v} --out {{t}}/out", 1,
+       f"--values {v}: {problem}")
+      for axis, problem in (("curvature", "curvature must be positive"), ("gaussian_mean", "target_mean must be finite"))
+      for v in ("inf", "nan")],
     ("sweep-negative-seed", "sweep --config {t}/base.json --axis curvature --values 1 --seeds 0,-1 --out {t}/out", 1,
      "--seeds -1: seed must be nonnegative"),
     ("sweep-missing-key", "sweep --config {t}/no-height.json --axis curvature --values 1 --out {t}/out", 2,
@@ -576,6 +592,7 @@ def _failure_inputs(tmp_path):
     (tmp_path / "zero.csv").write_text("0,0\n0,0\n0,0\n")
     (tmp_path / "emb.csv").write_text("0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
     (tmp_path / "y.csv").write_text("label\n0\n1\n")
+    (tmp_path / "y4.csv").write_text("label\n0\n1\n0\n1\n")
     (tmp_path / "s.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 3]}))
 
 
@@ -593,6 +610,14 @@ def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, c
     if code == 3:
         assert json.loads((tmp_path / "out" / "diagnostic.json").read_text())["error"] == "non-finite loss"
         assert (tmp_path / "out" / "trace.csv").exists() == command.startswith("train")  # train's partial trace
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]], ids=["top", "train"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hypergcl")
 
 
 class _Stop(BaseException):

@@ -1,9 +1,11 @@
 """Push-forward density: analytic values, sampling, quadrature, profiles."""
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+from hypergcl import density
 from hypergcl.density import (
     AmbientDensitySpec,
     ambient_density,
@@ -147,6 +149,60 @@ def test_profile_rejects_anisotropic_and_shifted():
         density_profile(AmbientDensitySpec(np.zeros(2), np.diag([1.0, 0.5]), Curvature(1.0)), 100)
     with pytest.raises(ValueError):
         density_profile(AmbientDensitySpec(np.array([0.1, 0.0]), np.eye(2), Curvature(1.0)), 100)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("radial_cdf", lambda spec: radial_cdf(spec, np.linspace(0.0, 0.5, 10))),
+        ("density_profile", lambda spec: density_profile(spec, 10)),
+    ],
+    ids=["radial_cdf", "density_profile"],
+)
+def test_radial_functions_share_one_isotropy_rule(name, call):
+    # a relative anisotropy of 1e-7 is refused by both, each naming itself
+    with pytest.raises(ValueError, match=f"{name} requires an isotropic covariance"):
+        call(AmbientDensitySpec(np.zeros(2), np.diag([1.0, 1.0 + 1e-7]), Curvature(1.0)))
+    with pytest.raises(ValueError, match=f"{name} requires a zero mean"):
+        call(AmbientDensitySpec(np.array([0.0, 1e-9]), np.eye(2), Curvature(1.0)))
+
+
+def test_single_point_density_follows_the_grid_at_the_boundary():
+    # unit vectors moved by up to 3 ulps: the single-point evaluator decides
+    # inside/outside exactly as the grid does
+    for d in (2, 3):
+        spec = isotropic_spec(1.0, 1.0, d)
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((2000, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = z + rng.integers(-3, 4, z.shape) * np.spacing(z)
+        grid = ambient_density_grid(z, spec)
+        assert 0 < np.count_nonzero(grid) < z.shape[0]
+        assert np.array_equal([ambient_density(p, spec) for p in z], grid)
+
+
+def test_sigma_is_factored_once_per_spec(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return np.linalg.cholesky(a)
+
+    monkeypatch.setattr(density, "cholesky", counting)
+    spec = isotropic_spec(0.8, 1.0, 2)
+    integrate_density(spec, resolution=256)
+    sample_ambient(10, spec, seed=0)
+    radial_cdf(spec, np.linspace(0.0, 0.9, 5), grid=256)
+    density_profile(spec, 10)
+    ambient_density(np.array([0.1, 0.2]), spec)
+    assert len(calls) == 1
+    assert np.allclose(spec.chol @ spec.chol.T, spec.sigma, rtol=0.0, atol=1e-15)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.chol = np.eye(2)
+    with pytest.raises(ValueError):
+        spec.chol[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        AmbientDensitySpec(np.zeros(2), np.eye(2), Curvature(1.0), chol=np.eye(2))  # not a knob
 
 
 def test_profile_csv_format(tmp_path):

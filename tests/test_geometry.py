@@ -145,6 +145,14 @@ def test_distance_examples():
     assert geom.distance(p, q, C1) == pytest.approx(expected, abs=1e-12)
 
 
+def test_coincident_points_near_the_boundary():
+    # -p (+) p has a Möbius denominator that cancels to 0 here, so these
+    # exact zeros come from the coincident-point shortcuts
+    p = PoincarePoint([1.0 - 1e-12, 0.0], C1)
+    assert geom.distance(p, p, C1) == 0.0
+    assert np.array_equal(geom.log_map(p, p, C1).coords, np.zeros(2))
+
+
 def test_distance_symmetry_and_triangle():
     rng = np.random.default_rng(4)
     p = ball_batch(rng, 3000, 5)

@@ -66,6 +66,13 @@ def test_moments_accept_point_sequences():
     assert s.dim == 2
 
 
+def test_moments_accept_tensor_and_curvature():
+    z = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1]])
+    s = tangent_moments(Tensor(z), Curvature(1.5))
+    ref = tangent_moments(z, 1.5)
+    assert np.array_equal(s.mu, ref.mu) and np.array_equal(s.sigma, ref.sigma)
+
+
 def test_covariance_summary_validation():
     with pytest.raises(ValueError):
         CovarianceSummary(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric

@@ -96,6 +96,34 @@ def test_dataset_values_are_type_checked(kind, params, key):
         build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
 
 
+def test_files_dataset_values_are_type_checked():
+    # the CLI's check, for API callers: a non-string path is refused by name
+    # (a 0 would otherwise be opened as file descriptor 0, stdin)
+    cfg = DatasetConfig(kind="files", params={"edges": 0, "features": "f.csv"})
+    with pytest.raises(ValueError, match="config key 'dataset.edges' must be a string"):
+        build_dataset(cfg, seed=0)
+
+
+def test_files_dataset_unknown_key_refused(tmp_path):
+    cfg = DatasetConfig(kind="files", params={"edges": "e.csv", "features": "f.csv", "weights": "w.csv"})
+    with pytest.raises(ValueError, match=r"unknown files params \['weights'\]"):
+        build_dataset(cfg, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("curvature", float("inf"), "curvature must be positive"),
+        ("curvature", float("nan"), "curvature must be positive"),
+        ("target_mean", float("nan"), "target_mean must be finite"),
+        ("target_mean", float("-inf"), "target_mean must be finite"),
+    ],
+)
+def test_config_refuses_non_finite_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+
+
 def test_sbm_expected_cut_edges():
     cuts = []
     for s in range(30):
