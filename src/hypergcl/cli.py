@@ -286,8 +286,10 @@ def cmd_diagnose(args) -> int:
 def cmd_density(args) -> int:
     if args.dim not in (1, 2):
         raise ConfigError(f"unsupported dimension {args.dim} (quadrature supports 1 and 2)")
-    if not 0.0 < args.sigma < np.inf:  # the parser has checked curvature
-        raise ConfigError("sigma and curvature must be positive")
+    # the parser has checked curvature; sigma**2 overflows above about 1.3e154
+    # and is subnormal or 0 below about 1.5e-154
+    if not (args.sigma > 0.0 and sys.float_info.min <= args.sigma * args.sigma < np.inf):
+        raise ConfigError(f"--sigma {args.sigma}: sigma must be positive, with a finite normal square")
     spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
     # dim, sigma and curvature are checked above, so a ValueError here is
     # about the grid size named by the flag

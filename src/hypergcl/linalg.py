@@ -75,9 +75,12 @@ def solve_upper(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if vec else x
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky; output symmetrized."""
-    L = cholesky(a)
+def spd_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the SPD matrix L @ L.T, given its lower Cholesky factor L.
+
+    Takes the factor, not the matrix, so a caller that already factored
+    (``tensor.logdet``) does not factor again.  Output symmetrized.
+    """
     eye = np.eye(L.shape[0])
     inv = solve_upper(L.T, solve_lower(L, eye))
     return (inv + inv.T) / 2.0

@@ -6,12 +6,20 @@ the diagnostics need.  Every op validates that its output is finite
 tape when one is open.  Tapes are per-thread; a training step opens a fresh
 tape, so no graph is retained implicitly between steps.
 
+One finiteness rule serves `Tensor(...)` and every op, `_all_finite`: a 0-d
+array is tested with `math.isfinite`, anything larger with one
+`logical_and` reduction over `np.isfinite`.  Neither can overflow or warn,
+so huge finite values pass and exactly the arrays holding NaN or +-inf are
+refused.  `logdet` factors its matrix once and reuses the factor for the
+inverse its gradient needs.
+
 Shapes are restricted to scalars (), vectors (n,) and matrices (n, m);
 broadcasting is limited to the explicit row-wise ops (`rowscale`,
 `sub_rowvec`, ...).
 """
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -46,9 +54,11 @@ def _tape_stack() -> list:
     return stack
 
 
-def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+def _all_finite(arr: np.ndarray) -> bool:
+    """True unless `arr` holds a NaN or an infinity."""
+    if arr.ndim == 0:
+        return math.isfinite(arr)
+    return np.logical_and.reduce(np.isfinite(arr), axis=None)
 
 
 class Tensor:
@@ -60,7 +70,7 @@ class Tensor:
         arr = np.asarray(data, dtype=float)
         if arr.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
 
@@ -195,13 +205,13 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
 
 def _record(name: str, data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     arr = np.asarray(data, dtype=float)
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError(f"op '{name}' produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr
-    tape = active_tape()
-    if tape is not None:
-        tape.nodes.append(_Node(name, out, tuple(inputs), vjp))
+    stack = getattr(_LOCAL, "stack", None)
+    if stack:
+        stack[-1].nodes.append(_Node(name, out, tuple(inputs), vjp))
     return out
 
 
@@ -312,7 +322,7 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
     def vjp(g):
         gx = g * np.where(pos, 1.0, float(slope.data))
-        gs = np.array(np.sum(g * np.where(pos, 0.0, x.data)))
+        gs = np.array(np.add.reduce(g * np.where(pos, 0.0, x.data), axis=None))
         return gx, gs
 
     return _record("prelu", y, (x, slope), vjp)
@@ -322,13 +332,20 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
-    return _record("sum", np.sum(a.data), (a,), lambda g: (np.full(shape, float(g)),))
+    return _record(
+        "sum", np.add.reduce(a.data, axis=None), (a,), lambda g: (np.full(shape, float(g)),)
+    )
 
 
 def mean_all(a: Tensor) -> Tensor:
     shape = a.data.shape
     n = a.data.size
-    return _record("mean", np.mean(a.data), (a,), lambda g: (np.full(shape, float(g) / n),))
+    return _record(
+        "mean",
+        np.add.reduce(a.data, axis=None) / n,
+        (a,),
+        lambda g: (np.full(shape, float(g) / n),),
+    )
 
 
 def trace(a: Tensor) -> Tensor:
@@ -350,7 +367,7 @@ def batch_mean(a: Tensor) -> Tensor:
     _expect_matrix(a, "batch_mean")
     n = a.data.shape[0]
     return _record(
-        "batch_mean", np.mean(a.data, axis=0), (a,), lambda g: (np.tile(g / n, (n, 1)),)
+        "batch_mean", np.add.reduce(a.data, axis=0) / n, (a,), lambda g: (np.tile(g / n, (n, 1)),)
     )
 
 
@@ -363,13 +380,13 @@ def rownorm2(a: Tensor) -> Tensor:
         gx *= g[:, None]
         return (gx,)
 
-    return _record("rownorm2", np.sum(a.data * a.data, axis=1), (a,), vjp)
+    return _record("rownorm2", np.add.reduce(a.data * a.data, axis=1), (a,), vjp)
 
 
 def rownorm(a: Tensor) -> Tensor:
     """L2 norm of each row.  Zero rows get subgradient zero."""
     _expect_matrix(a, "rownorm")
-    n = np.sqrt(np.sum(a.data * a.data, axis=1))
+    n = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
 
     def vjp(g):
         safe = np.where(n > 0.0, n, 1.0)
@@ -385,7 +402,7 @@ def rowdot(a: Tensor, b: Tensor) -> Tensor:
     _expect_matrix(a, "rowdot")
     return _record(
         "rowdot",
-        np.sum(a.data * b.data, axis=1),
+        np.add.reduce(a.data * b.data, axis=1),
         (a, b),
         lambda g: (b.data * g[:, None], a.data * g[:, None]),
     )
@@ -400,7 +417,7 @@ def rowscale(a: Tensor, s: Tensor) -> Tensor:
         "rowscale",
         a.data * s.data[:, None],
         (a, s),
-        lambda g: (g * s.data[:, None], np.sum(g * a.data, axis=1)),
+        lambda g: (g * s.data[:, None], np.add.reduce(g * a.data, axis=1)),
     )
 
 
@@ -408,7 +425,7 @@ def sub_rowvec(a: Tensor, v: Tensor) -> Tensor:
     _expect_matrix(a, "sub_rowvec")
     if v.data.shape != (a.data.shape[1],):
         raise ValueError(f"sub_rowvec: vector shape {v.data.shape} vs cols {a.data.shape[1]}")
-    return _record("sub_rowvec", a.data - v.data, (a, v), lambda g: (g, -np.sum(g, axis=0)))
+    return _record("sub_rowvec", a.data - v.data, (a, v), lambda g: (g, -np.add.reduce(g, axis=0)))
 
 
 def _scatter_add_rows(idx: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -449,7 +466,7 @@ def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
     t = float(max_norm)
     if t <= 0.0:
         raise ValueError("cap_rownorms: max_norm must be positive")
-    n = np.sqrt(np.sum(a.data * a.data, axis=1))
+    n = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
     mask = n >= t
     scale = np.ones_like(n)
     scale[mask] = t / n[mask]
@@ -462,7 +479,7 @@ def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
             xm = x[idx]
             gm = g[idx]
             nm = n[idx]
-            xg = np.sum(xm * gm, axis=1)
+            xg = np.add.reduce(xm * gm, axis=1)
             gx[idx] = (t / nm)[:, None] * (gm - xm * (xg / (nm * nm))[:, None])
         return (gx,)
 
@@ -502,7 +519,8 @@ def add_diag(a: Tensor, k: float) -> Tensor:
 def logdet(a: Tensor) -> Tensor:
     """log det of an SPD matrix via Cholesky.
 
-    The symmetric part of the input is factored; the gradient is the
+    The symmetric part of the input is factored once; that factor gives
+    both the value and, through `spd_inverse(L)`, the gradient, which is the
     symmetrized inverse.  Raises NotSPDError for non-PD input; the jitter
     policy belongs to the caller.
     """
@@ -510,8 +528,8 @@ def logdet(a: Tensor) -> Tensor:
         raise ValueError("logdet expects a square matrix")
     sym = (a.data + a.data.T) / 2.0
     L = cholesky(sym)
-    val = 2.0 * np.sum(np.log(np.diag(L)))
-    inv = spd_inverse(sym)
+    val = 2.0 * np.add.reduce(np.log(np.diag(L)), axis=None)
+    inv = spd_inverse(L)
     return _record("logdet", val, (a,), lambda g: (float(g) * inv,))
 
 

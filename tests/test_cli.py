@@ -547,9 +547,11 @@ FAILURES = [
     ("diagnose-all-zero", "diagnose --embeddings {t}/zero.csv", 2, "zero.csv: effective rank of an all-zero"),
     ("diagnose-unwritable-out", "diagnose --embeddings {t}/emb.csv --out {t}/blocker/d.json", 2, "blocker"),
     ("density-dim", "density --sigma 1 --curvature 1 --dim 3 --out {t}/out", 1, "unsupported dimension 3"),
-    ("density-sigma", "density --sigma 0 --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
-    ("density-sigma-nan", "density --sigma nan --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
-    ("density-sigma-inf", "density --sigma inf --curvature 1 --dim 1 --out {t}/out", 1, "sigma and curvature must be"),
+    *[(f"density-sigma{suffix}", f"density --sigma {v} --curvature 1 --dim 1 --out {{t}}/out", 1,
+       f"--sigma {float(v)}: sigma must be positive, with a finite normal square")
+      for suffix, v in (("", "0"), ("-nan", "nan"), ("-inf", "inf"), ("-negative", "-2"),
+                        ("-square-overflows", "1e200"), ("-square-underflows", "1e-200"),
+                        ("-square-subnormal", "1e-155"))],
     ("density-curvature", "density --sigma 1 --curvature 0 --dim 1 --out {t}/out", 1,
      "argument --curvature: curvature must be a positive real, got 0.0"),
     ("density-resolution", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --resolution 10", 1,
