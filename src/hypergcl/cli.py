@@ -286,11 +286,12 @@ def cmd_diagnose(args) -> int:
 def cmd_density(args) -> int:
     if args.dim not in (1, 2):
         raise ConfigError(f"unsupported dimension {args.dim} (quadrature supports 1 and 2)")
-    # the parser has checked curvature; sigma**2 overflows above about 1.3e154
-    # and is subnormal or 0 below about 1.5e-154
-    if not (args.sigma > 0.0 and sys.float_info.min <= args.sigma * args.sigma < np.inf):
-        raise ConfigError(f"--sigma {args.sigma}: sigma must be positive, with a finite normal square")
-    spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
+    # the parser has checked curvature and dim is checked above, so a
+    # ValueError here is about sigma
+    try:
+        spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
+    except ValueError as e:
+        raise ConfigError(f"--sigma {args.sigma}: {e}") from e
     # dim, sigma and curvature are checked above, so a ValueError here is
     # about the grid size named by the flag
     try:

@@ -15,6 +15,7 @@ grids of millions of points.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,17 @@ class AmbientDensitySpec:
 
 
 def isotropic_spec(sigma: float, c: float, d: int) -> AmbientDensitySpec:
-    """Convenience constructor for N(0, sigma^2 I) on a ball of curvature c."""
-    return AmbientDensitySpec(np.zeros(d), float(sigma) ** 2 * np.eye(d), Curvature(float(c)))
+    """Convenience constructor for N(0, sigma^2 I) on a ball of curvature c.
+
+    sigma must be positive and sigma^2 a finite normal float: it overflows
+    above about 1.3e154, and below about 1.5e-154 it is subnormal or 0, too
+    small to factor.  Other values raise ValueError.
+    """
+    sigma = float(sigma)
+    var = sigma * sigma
+    if not (sigma > 0.0 and sys.float_info.min <= var < np.inf):
+        raise ValueError("sigma must be positive, with a finite normal square")
+    return AmbientDensitySpec(np.zeros(d), var * np.eye(d), Curvature(float(c)))
 
 
 def _g_factor(x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,11 @@ accompanies the alignment term, covering the whole ablation family:
     hyperbolic-align-only       mean ball distance between paired rows
     hyperbolic-naive-uniformity ball alignment + log E exp(-t * distance)
     hypergcl                    ball alignment + tangent-Gaussian isotropy
+
+Both uniformities take every pair from one all-pairs op on the Gram matrix
+(`T.ball_pair_distances`, `T.pair_sqdist`), drop the diagonal with one
+cached `take_rows` index in i-major pair order, and share one
+log-mean-exp tail.
 """
 from __future__ import annotations
 
@@ -97,18 +102,23 @@ def isotropy_tangent(
 
 
 @functools.lru_cache(maxsize=8)
-def _ordered_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (i, j) of every ordered pair i != j, i-major.
+def _ordered_pair_indices(n: int) -> np.ndarray:
+    """Flat index i * n + j of every ordered pair i != j, i-major.
 
-    Cached per batch size, since every step asks for the same arrays; they
-    are read-only because every caller shares them.
+    It selects the off-diagonal rows of the (n*n, 1) all-pairs columns of
+    `T.ball_pair_distances` and `T.pair_sqdist`.  Cached per batch size,
+    since every step asks for the same array; it is read-only because every
+    caller shares it.
     """
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    ii.flags.writeable = False
-    jj.flags.writeable = False
-    return ii, jj
+    flat = np.arange(n * n).reshape(n, n)[~np.eye(n, dtype=bool)]
+    flat.flags.writeable = False
+    return flat
+
+
+def _log_mean_exp_pairs(pairs: Tensor, n: int, t: float) -> Tensor:
+    """log E[exp(-t x)] over the ordered pairs i != j of an (n*n, 1) all-pairs column."""
+    x = T.take_rows(pairs, _ordered_pair_indices(n))
+    return T.log(T.mean_all(T.exp(T.smul(x, -float(t)))))
 
 
 def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:
@@ -116,7 +126,9 @@ def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:
 
     Decreases as pairwise ball distances grow; its minimizer pushes points
     toward the boundary, which is exactly the failure mode the isotropy term
-    replaces (kept for the ablation).
+    replaces (kept for the ablation).  Every pair distance comes from one
+    Gram matrix (`T.ball_pair_distances`); equal rows are at distance
+    exactly 0.
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
     n = z.data.shape[0]
@@ -124,9 +136,7 @@ def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:
         raise ValueError(f"uniformity needs at least 2 rows, got {n}")
     if t <= 0.0:
         raise ValueError("temperature t must be positive")
-    ii, jj = _ordered_pair_indices(n)
-    d = geom.distance_rows(T.take_rows(z, ii), T.take_rows(z, jj), float(c))
-    return T.log(T.mean_all(T.exp(T.smul(d, -float(t)))))
+    return _log_mean_exp_pairs(T.ball_pair_distances(z, float(c)), n, t)
 
 
 def _normalize_rows(z: Tensor, opname: str) -> Tensor:
@@ -140,9 +150,7 @@ def _euclidean_uniformity(x: Tensor, t: float) -> Tensor:
     n = x.data.shape[0]
     if n < 2:
         raise ValueError("uniformity needs at least 2 rows")
-    ii, jj = _ordered_pair_indices(n)
-    d2 = T.rownorm2(T.sub(T.take_rows(x, ii), T.take_rows(x, jj)))
-    return T.log(T.mean_all(T.exp(T.smul(d2, -float(t)))))
+    return _log_mean_exp_pairs(T.pair_sqdist(x), n, t)
 
 
 def euclidean_align_uniform(z, zp, t: float) -> tuple[Tensor, Tensor]:

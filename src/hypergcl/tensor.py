@@ -13,6 +13,12 @@ so huge finite values pass and exactly the arrays holding NaN or +-inf are
 refused.  `logdet` factors its matrix once and reuses the factor for the
 inverse its gradient needs.
 
+Two all-pairs ops, `pair_sqdist` and `ball_pair_distances`, take an (n, d)
+batch and return an (n*n, 1) column whose row i*n + j holds the value for
+the ordered pair (i, j).  Both are built from one Gram matrix G = Z Z^T as
+Delta_ij = max(||z_i||^2 + ||z_j||^2 - 2 G_ij, 0), with Delta exactly 0
+for equal rows, and share one VJP for Delta; a pair at 0 passes no gradient.
+
 Shapes are restricted to scalars (), vectors (n,) and matrices (n, m);
 broadcasting is limited to the explicit row-wise ops (`rowscale`,
 `sub_rowvec`, ...).
@@ -484,6 +490,103 @@ def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
         return (gx,)
 
     return _record("cap_rownorms", x * scale[:, None], (a,), vjp)
+
+
+# --------------------------------------------------------------- all pairs
+
+def _pair_delta(z: np.ndarray) -> np.ndarray:
+    """Delta_ij = max(s_i + s_j - 2 G_ij, 0) with s_i = ||z_i||^2 and G = Z Z^T.
+
+    Rows that are equal get Delta exactly 0 (the diagonal always does):
+    the Gram form cancels for them, and rounding would leave a few ulp of
+    s behind.  G comes from `einsum`, not BLAS: OpenBLAS's `z @ z.T`
+    changes bits with its thread count even at this small inner dimension,
+    while `einsum` sums every entry in one fixed order.  Delta is built in
+    G's buffer, so Delta_ij and Delta_ji may differ in the last bit.
+    """
+    s = np.add.reduce(z * z, axis=1)
+    delta = np.einsum("ik,jk->ij", z, z)
+    delta *= -2.0
+    delta += s[:, None]
+    delta += s
+    np.maximum(delta, 0.0, out=delta)
+    labels = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
+    delta[labels[:, None] == labels] = 0.0
+    return delta
+
+
+def _pair_delta_vjp(z: np.ndarray, p: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """dL/dZ = 2[(rowsum S + ds) Z - S Z] with S = P + P^T, for P = dL/dDelta.
+
+    `ds` carries the caller's own dL/ds_i, s_i = ||z_i||^2, beyond Delta's.
+    """
+    sym = p + p.T
+    rows = np.add.reduce(sym, axis=1)
+    rows += ds
+    gz = rows[:, None] * z
+    gz -= sym @ z
+    gz *= 2.0
+    return gz
+
+
+def pair_sqdist(z: Tensor) -> Tensor:
+    """Squared Euclidean distance of every ordered row pair, from one Gram matrix.
+
+    Returns the (n*n, 1) column whose row i*n + j holds ||z_i - z_j||^2
+    (i-major; the diagonal is included and exactly 0).  Equal rows give
+    exactly 0, and a pair whose value is 0 passes no gradient.
+    """
+    _expect_matrix(z, "pair_sqdist")
+    x = z.data
+    delta = _pair_delta(x)
+
+    def vjp(g):
+        p = g.reshape(delta.shape) * (delta > 0.0)
+        return (_pair_delta_vjp(x, p, 0.0),)
+
+    return _record("pair_sqdist", delta.reshape(-1, 1), (z,), vjp)
+
+
+def ball_pair_distances(z: Tensor, c: float) -> Tensor:
+    """Poincare-ball distance of every ordered row pair, from one Gram matrix.
+
+    D_ij = arcosh(1 + w_ij) / sqrt(c), w_ij = 2c Delta_ij / (a_i a_j), with
+    Delta_ij = ||z_i - z_j||^2 and a_i = 1 - c ||z_i||^2 (Ganea et al. 2018).
+    arcosh(1 + w) is evaluated as log1p(w + sqrt(w (w + 2))), which keeps
+    its relative accuracy for small w.  The layout is `pair_sqdist`'s: an
+    (n*n, 1) column whose row i*n + j holds D_ij.  A pair at distance 0
+    (equal rows) passes no gradient, which is `rownorm`'s subgradient at
+    zero.  Rows on or outside the ball, c ||z||^2 >= 1, raise ValueError.
+    """
+    _expect_matrix(z, "ball_pair_distances")
+    c = float(c)
+    x = z.data
+    a = 1.0 - c * np.add.reduce(x * x, axis=1)
+    if not np.all(a > 0.0):
+        raise ValueError("ball_pair_distances: row on or outside the ball boundary")
+    aa = np.multiply.outer(a, a)
+    w = 2.0 * c * _pair_delta(x)
+    w /= aa
+    root = w + 2.0
+    root *= w
+    np.sqrt(root, out=root)
+    sc = math.sqrt(c)
+    dist = w + root
+    np.log1p(dist, out=dist)
+    dist /= sc
+
+    def vjp(g):
+        # q = dL/dw = g / (sqrt(c) sqrt(w (w + 2))), and 0 where Delta = 0
+        q = np.divide(g.reshape(w.shape), root, out=np.zeros_like(w), where=root > 0.0)
+        q /= sc
+        # dw_ij/ds_i = c w_ij / a_i, for i first or second in the pair
+        r = q * w
+        ds = (c / a) * (np.add.reduce(r, axis=1) + np.add.reduce(r, axis=0))
+        q *= 2.0 * c  # dw_ij/dDelta_ij = 2c / (a_i a_j)
+        q /= aa
+        return (_pair_delta_vjp(x, q, ds),)
+
+    return _record("ball_pair_distances", dist.reshape(-1, 1), (z,), vjp)
 
 
 # -------------------------------------------------------------------- matrix

@@ -182,6 +182,8 @@ def _scalarized_checks(rng) -> list:
     sp = SparseMatrix((n, n), [0, 1, 2, 3, 1], [1, 0, 3, 2, 2], [0.5, 0.5, 1.0, 1.0, 0.25])
     mask = rng.random(5) > 0.5
     big = rng.standard_normal((n, d)) * 3.0
+    inside = _ball_batch(rng, n, d, max_radius=0.8)
+    wpairs = rng.standard_normal((n * n, 1))
 
     def ws(x, w):
         return T.sum_all(T.mul(x, Tensor(w)))
@@ -221,6 +223,8 @@ def _scalarized_checks(rng) -> list:
         ("dot", lambda x: T.dot(x, Tensor(wv)), vec),
         ("add_diag-logdet", lambda x: T.logdet(T.add_diag(x, 0.1)), spd),
         ("spmm", lambda x: ws(T.spmm(sp, x), wm), a),
+        ("pair_sqdist", lambda x: ws(T.pair_sqdist(x), wpairs), a),
+        ("ball_pair_distances", lambda x: ws(T.ball_pair_distances(x, 1.0), wpairs), inside),
     ]
 
 

@@ -34,6 +34,19 @@ def test_spec_validation():
         AmbientDensitySpec(np.zeros(2), np.eye(3), Curvature(1.0))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan, np.inf, 1e200, 1e-200, 1e-155])
+def test_isotropic_spec_refuses_sigma_without_a_finite_normal_square(sigma):
+    # 1e200 squares to inf, 1e-200 to 0 and 1e-155 to a subnormal: none can be factored
+    with pytest.raises(ValueError, match="^sigma must be positive, with a finite normal square$"):
+        isotropic_spec(sigma, 1.0, 1)
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1.5e-154])
+def test_isotropic_spec_accepts_the_extreme_normal_squares(sigma):
+    spec = isotropic_spec(sigma, 1.0, 2)
+    assert np.array_equal(spec.sigma, sigma * sigma * np.eye(2))
+
+
 def test_integral_one_dim_tight():
     assert integrate_density(isotropic_spec(0.3, 1.0, 1)) == pytest.approx(1.0, abs=1e-3)
 

@@ -1,9 +1,12 @@
 """Tape engine: forward semantics, backward correctness, error states."""
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from helpers import ball_batch
+from hypergcl import geometry as geom
 from hypergcl import tensor as T
 from hypergcl.linalg import NotSPDError, cholesky, solve_lower, solve_upper
 from hypergcl.tensor import (
@@ -429,3 +432,133 @@ def test_mean_reductions_bit_identical_to_np_mean():
         a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         assert _same_bits(np.asarray(T.mean_all(Tensor(a)).data), np.asarray(np.mean(a)))
         assert _same_bits(T.batch_mean(Tensor(a)).data, np.mean(a, axis=0))
+
+
+# ------------------------------------------------------- all-pairs Gram ops
+
+PAIR_OPS = {
+    "ball_pair_distances": lambda x: T.ball_pair_distances(x, 1.0),
+    "pair_sqdist": T.pair_sqdist,
+}
+
+
+def _gather_pairs(z, op):
+    """Reference: every ordered pair i != j gathered with take_rows, i-major, then the
+    row-paired Möbius distance or squared difference (no Gram matrix involved)."""
+    ii, jj = np.nonzero(~np.eye(z.shape[0], dtype=bool))
+    a, b = T.take_rows(Tensor(z), ii), T.take_rows(Tensor(z), jj)
+    if op == "ball_pair_distances":
+        return geom.distance_rows(a, b, 1.0).data
+    return T.rownorm2(T.sub(a, b)).data
+
+
+def _off_diagonal(pairs, n):
+    return pairs.reshape(n, n)[~np.eye(n, dtype=bool)]
+
+
+def _unit_rows(rng, n, d):
+    u = rng.standard_normal((n, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _pair_points(case, rng):
+    """(rows, finite-difference step) for one regime of the pair ops."""
+    if case == "radius-0.8":
+        return ball_batch(rng, 5, 3, max_radius=0.8), 1e-5
+    if case == "pinned-at-cap":
+        # steps of h (1 + |x|) must stay far below a = 1 - ||z||^2 ~ 2e-5, the
+        # scale on which D curves here; smaller ones drown in rounding
+        return _unit_rows(rng, 5, 3) * (1.0 - 1e-5), 1e-8
+    # every pair 1e-3 apart; the Gram form leaves ~1e-16 of noise in Delta ~ 1e-6,
+    # which a step of 1e-6 resolves, while the curvature at this scale needs no smaller one
+    base = ball_batch(rng, 1, 4, max_radius=0.8)
+    return base + (1e-3 / np.sqrt(2.0)) * np.eye(4), 1e-6
+
+
+@pytest.mark.parametrize("op", sorted(PAIR_OPS))
+@pytest.mark.parametrize("case", ["radius-0.8", "pinned-at-cap", "rows-1e-3-apart"])
+def test_pair_ops_gradient_finite_diff(op, case):
+    rng = np.random.default_rng(31)
+    z, h = _pair_points(case, rng)
+    w = Tensor(rng.standard_normal((z.shape[0] ** 2, 1)))
+    assert finite_diff_check(lambda x: T.sum_all(T.mul(PAIR_OPS[op](x), w)), z, h=h) < 1e-5
+
+
+@pytest.mark.parametrize("op", sorted(PAIR_OPS))
+def test_pair_ops_match_gather_reference_in_interior(op):
+    rng = np.random.default_rng(32)
+    z = ball_batch(rng, 12, 4, max_radius=0.8)
+    out = PAIR_OPS[op](Tensor(z)).data
+    assert out.shape == (144, 1)
+    assert np.all(np.diag(out.reshape(12, 12)) == 0.0)
+    ref = _gather_pairs(z, op)
+    assert np.max(np.abs(_off_diagonal(out, 12) - ref) / ref) <= 1e-12
+
+
+def _exact_ball_distance(x, y):
+    """D(x, y) at c = 1 with Delta and a_x a_y in exact rational arithmetic, rounded once."""
+    from fractions import Fraction
+
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    delta = sum((p - q) ** 2 for p, q in zip(fx, fy))
+    w = float(2 * delta / ((1 - sum(p * p for p in fx)) * (1 - sum(q * q for q in fy))))
+    return math.log1p(w + math.sqrt(w * (w + 2.0)))
+
+
+def test_ball_pair_distances_at_the_cap():
+    # Rows on the eps-margin cap: the Möbius reference loses about 2e-7 to
+    # cancellation there, while the Gram form only inherits the rounding of
+    # a = 1 - ||z||^2 (~5e-12 relative, ~1e-12 in D).
+    rng = np.random.default_rng(33)
+    n = 8
+    z = _unit_rows(rng, n, 4) * (1.0 - 1e-5)
+    out = _off_diagonal(T.ball_pair_distances(Tensor(z), 1.0).data, n)
+    ref = _gather_pairs(z, "ball_pair_distances")
+    assert np.max(np.abs(out - ref) / ref) <= 1e-6
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    exact = np.array([_exact_ball_distance(z[i], z[j]) for i, j in zip(ii, jj)])
+    assert np.max(np.abs(out - exact) / exact) <= 1e-11
+
+
+@pytest.mark.parametrize("op", sorted(PAIR_OPS))
+def test_pair_ops_equal_rows_are_exactly_zero_and_pass_no_gradient(op):
+    # With these rows, s_i + s_j - 2 G_ij leaves ~2e-16 behind for equal rows
+    rows = np.random.default_rng(4).standard_normal((3, 16)) * 0.2
+    z = rows[[0, 1, 0, 2, 1]]
+    n = z.shape[0]
+    same = np.all(z[:, None, :] == z[None, :, :], axis=2)
+    w = np.random.default_rng(5).standard_normal((n * n, 1))
+
+    def grad(weights):
+        with Tape() as tape:
+            x = Tensor(z)
+            out = PAIR_OPS[op](x)
+            loss = T.sum_all(T.mul(out, Tensor(weights)))
+        return out.data.reshape(n, n), tape.backward(loss).wrt(x)
+
+    vals, g = grad(w)
+    assert np.all(vals[same] == 0.0) and np.all(vals[~same] > 0.0)
+    assert np.all(np.isfinite(g))
+    _, g_no_same = grad(np.where(same.reshape(-1, 1), 0.0, w))
+    assert _same_bits(g, g_no_same)
+
+    tied = np.tile(rows[:1], (4, 1))
+    with Tape() as tape:
+        x = Tensor(tied)
+        out = PAIR_OPS[op](x)
+        loss = T.sum_all(out)
+    assert np.all(out.data == 0.0)
+    assert np.all(tape.backward(loss).wrt(x) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "z,c",
+    [
+        (np.array([[1.0, 0.0], [0.0, 0.5]]), 1.0),
+        (np.array([[0.5, 0.0], [0.0, 0.1]]), 4.0),
+        (np.array([[0.0, 0.2], [3.0, 4.0]]), 1.0),
+    ],
+)
+def test_ball_pair_distances_rejects_rows_outside_the_ball(z, c):
+    with pytest.raises(ValueError, match="ball_pair_distances"):
+        T.ball_pair_distances(Tensor(z), c)

@@ -224,6 +224,25 @@ def test_naive_uniformity_pushes_mean_norm_to_margin():
     assert trace.last().mean_norm > 0.99 * cap
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strong_naive_uniformity_pushes_every_seed_from_inside_to_margin(seed):
+    # At lambda_u = 2 the run above is chaotic and whether it ends at the
+    # margin turns on float rounding; at lambda_u = 10 every seed does
+    cfg = tree31_config(
+        variant="hyperbolic-naive-uniformity",
+        weights=LossWeights(lambda_u=10.0, t=2.0),
+        encoder=EncoderConfig(hidden_dim=16, out_dim=8, init_scale=1.0),
+        optimizer=OptimizerConfig(learning_rate=1e-2, steps=400),
+        augment1=AugmentationConfig(0.2, 0.1, seed=2 * seed + 1),
+        augment2=AugmentationConfig(0.2, 0.1, seed=2 * seed + 2),
+        seed=seed,
+    )
+    _, trace = train(cfg)
+    cap = (1.0 - cfg.eps) / np.sqrt(cfg.curvature)
+    assert trace.records[0].mean_norm < 0.9 * cap
+    assert trace.last().mean_norm > 0.99 * cap
+
+
 def test_nonfinite_loss_aborts_with_step():
     # tanh/projection saturate most blowups; a step of ~1e160 makes the
     # second encode's weight product exceed the float64 range
