@@ -10,7 +10,8 @@ of log0 (a radial map), so the density integrates to one over the open
 ball.  Evaluation at or outside the boundary returns exactly zero.
 
 These evaluators are plain vectorized numpy (no tape): they feed quadrature
-grids of millions of points.
+grids of millions of points.  The Gaussian log density solves with
+`np.linalg.solve` against the spec's one `linalg.cholesky` factor.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Curvature
-from .linalg import cholesky, solve_lower
+from .linalg import cholesky
 
 __all__ = [
     "AmbientDensitySpec",
@@ -91,7 +92,7 @@ def _g_factor(x: np.ndarray) -> np.ndarray:
 def _mvn_logpdf(y: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
     """log N(y; mu, sigma) per row of y, from the spec's Cholesky factor."""
     logdet = 2.0 * np.sum(np.log(np.diag(spec.chol)))
-    w = solve_lower(spec.chol, (y - spec.mu).T)
+    w = np.linalg.solve(spec.chol, (y - spec.mu).T)
     quad = np.sum(w * w, axis=0)
     return -0.5 * (spec.dim * np.log(2.0 * np.pi) + logdet + quad)
 

@@ -5,8 +5,8 @@ term is the additive form tr(S) - logdet(S) - d + ||mu||^2 against a unit
 Gaussian; a jitter of 1e-6 * I is folded into S before the trace/logdet so
 the term stays defined in the collapse regime this toolkit must measure.
 Effective rank of a rectangular matrix uses its singular values (LAPACK
-SVD); effective rank of a covariance uses its eigenvalues (LAPACK
-symmetric eigensolver).  The two spectra differ by squaring and a 1/N
+SVD); effective rank of a covariance uses the eigenvalues of its symmetric
+part (`np.linalg.eigvalsh`).  The two spectra differ by squaring and a 1/N
 factor, so both are exposed and labeled distinctly.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry as geom
 from . import tensor as T
-from .linalg import NotSPDError, cholesky, jacobi_eigh, jacobi_svd_values
+from .linalg import NotSPDError, cholesky, jacobi_svd_values
 from .tensor import Tensor
 
 __all__ = [
@@ -156,9 +156,11 @@ def effective_rank(m: Union[np.ndarray, SingularSpectrum]) -> float:
 
 def covariance_effective_rank(sigma: np.ndarray) -> float:
     """Effective rank of a covariance from its eigenvalue spectrum."""
-    w, _ = jacobi_eigh(np.asarray(sigma, dtype=float))
-    w = np.clip(w, 0.0, None)
-    return _entropy_erank(w)
+    a = np.asarray(sigma, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    w = np.linalg.eigvalsh((a + a.T) / 2.0)[::-1]  # only the symmetric part counts
+    return _entropy_erank(np.clip(w, 0.0, None))
 
 
 # ------------------------------------------------------------------ gaussian
@@ -216,6 +218,8 @@ def erank_bound_check(s: CovarianceSummary, jitter: float = DEFAULT_JITTER) -> B
 def tree_distortion(tree_dists: np.ndarray, points, c) -> tuple[float, float]:
     """Max and mean |d_T(i,j) - d_ball(i,j)| over all unordered pairs.
 
+    Ball distances come from the Gram-matrix op `T.ball_pair_distances`,
+    finite up to the boundary; rows on or outside it raise ValueError.
     Reports distortion only; no pass/fail claim is attached.
     """
     td = np.asarray(tree_dists, dtype=float)
@@ -230,6 +234,6 @@ def tree_distortion(tree_dists: np.ndarray, points, c) -> tuple[float, float]:
     if n != td.shape[0]:
         raise ValueError(f"point count {n} does not match distance matrix {td.shape[0]}")
     iu, ju = np.triu_indices(n, k=1)
-    dd = geom.distance_rows(Tensor(mat[iu]), Tensor(mat[ju]), cval).data
+    dd = T.ball_pair_distances(Tensor(mat), cval).data.reshape(n, n)[iu, ju]
     err = np.abs(td[iu, ju] - dd)
     return float(np.max(err, initial=0.0)), float(np.mean(err) if err.size else 0.0)

@@ -1,6 +1,8 @@
 """Shared test utilities: rank correlations and ball sampling."""
 import numpy as np
 
+from hypergcl.verify import _ball_batch as ball_batch  # noqa: F401  (the one ball sampler)
+
 
 def pearson(x, y) -> float:
     return float(np.corrcoef(np.asarray(x, float), np.asarray(y, float))[0, 1])
@@ -11,11 +13,3 @@ def spearman(x, y) -> float:
         return np.argsort(np.argsort(v))
 
     return pearson(ranks(np.asarray(x, float)), ranks(np.asarray(y, float)))
-
-
-def ball_batch(rng, n, d, c=1.0, max_radius=0.95) -> np.ndarray:
-    """Random points with uniform directions and radii spread inside the ball."""
-    x = rng.standard_normal((n, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    radii = max_radius * rng.random((n, 1)) ** (1.0 / d) / np.sqrt(c)
-    return x * radii

@@ -1,22 +1,14 @@
 """Linear-algebra kernels.
 
-The hand-written Cholesky, solves and inverse are checked against numpy's
-LAPACK routines; the LAPACK-backed spectra are checked against their
-contracts (ordering, sign, invariants), since comparing them with numpy
+The hand-written Cholesky and inverse are checked against numpy's LAPACK
+routines; the LAPACK-backed singular values are checked against their
+contract (ordering, sign, invariants), since comparing them with numpy
 would compare numpy with itself.
 """
 import numpy as np
 import pytest
 
-from hypergcl.linalg import (
-    NotSPDError,
-    cholesky,
-    jacobi_eigh,
-    jacobi_svd_values,
-    solve_lower,
-    solve_upper,
-    spd_inverse,
-)
+from hypergcl.linalg import NotSPDError, cholesky, jacobi_svd_values, spd_inverse
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 16, 40])
@@ -34,23 +26,21 @@ def test_cholesky_rejects_indefinite():
         cholesky(np.zeros((3, 3)))
 
 
-def test_triangular_solves():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6))
-    spd = a @ a.T + 6 * np.eye(6)
-    L = cholesky(spd)
-    b = rng.standard_normal(6)
-    assert np.allclose(L @ solve_lower(L, b), b, atol=1e-12)
-    assert np.allclose(L.T @ solve_upper(L.T, b), b, atol=1e-12)
-    B = rng.standard_normal((6, 3))
-    assert np.allclose(L @ solve_lower(L, B), B, atol=1e-12)
-
-
 def test_spd_inverse():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 8))
     spd = a @ a.T + 8 * np.eye(8)
     assert np.allclose(spd_inverse(cholesky(spd)), np.linalg.inv(spd), atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 40])
+def test_spd_inverse_residual(d):
+    rng = np.random.default_rng(d + 50)
+    a = rng.standard_normal((d, d))
+    spd = a @ a.T + d * np.eye(d)
+    inv = spd_inverse(cholesky(spd))
+    assert np.array_equal(inv, inv.T)
+    assert np.max(np.abs(spd @ inv - np.eye(d))) < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (12, 4), (4, 12), (30, 7)])
@@ -74,25 +64,6 @@ def test_jacobi_svd_rank_deficient():
     s = jacobi_svd_values(m)
     assert s[1] > 1e-3
     assert np.allclose(s[2:], 0.0, atol=1e-10)
-
-
-@pytest.mark.parametrize("d", [1, 2, 6, 16])
-def test_jacobi_eigh_contract(d):
-    rng = np.random.default_rng(d + 100)
-    a = rng.standard_normal((d, d))
-    sym = (a + a.T) / 2.0
-    w, vecs = jacobi_eigh(sym)
-    assert np.all(np.diff(w) <= 0.0)
-    # eigenvector residuals
-    assert np.max(np.abs(sym @ vecs - vecs * w)) < 1e-9
-    # orthonormal columns
-    assert np.allclose(vecs.T @ vecs, np.eye(d), atol=1e-10)
-    # only the symmetric part of the input counts
-    skew = np.triu(a, 1) - np.triu(a, 1).T
-    w_skewed, _ = jacobi_eigh(sym + skew)
-    assert np.allclose(w_skewed, w, atol=1e-12)
-    with pytest.raises(ValueError):
-        jacobi_eigh(a[:, :-1] if d > 1 else a.ravel())
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,28 @@ def test_covariance_effective_rank_uses_eigenvalues():
     assert covariance_effective_rank(sigma) == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6, 16])
+def test_covariance_effective_rank_of_symmetric_part(d):
+    # a known spectrum, one eigenvalue negative when d > 1 (clipped to 0)
+    rng = np.random.default_rng(d + 100)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = rng.uniform(0.1, 2.0, d)
+    if d > 1:
+        lam[0] = -0.5
+    sym = (q * lam) @ q.T
+    sym = (sym + sym.T) / 2.0
+    p = np.clip(lam, 0.0, None)
+    p = p[p > 0] / p.sum()
+    want = np.exp(-(p * np.log(p)).sum())
+    assert covariance_effective_rank(sym) == pytest.approx(want, abs=1e-9)
+    # only the symmetric part of the input counts
+    a = rng.standard_normal((d, d))
+    skew = np.triu(a, 1) - np.triu(a, 1).T
+    assert covariance_effective_rank(sym + skew) == pytest.approx(want, abs=1e-9)
+    with pytest.raises(ValueError):
+        covariance_effective_rank(sym[:, :-1] if d > 1 else sym.ravel())
+
+
 def test_gaussian_kl_zero_at_unit_gaussian():
     s = CovarianceSummary(np.zeros(4), np.eye(4))
     assert abs(gaussian_kl(s)) <= 1e-10
@@ -253,6 +275,22 @@ def test_tree_distortion_two_leaves_oracle():
     mx, mean = tree_distortion(td, np.stack([p1.coords, p2.coords]), c)
     assert mx == pytest.approx(abs(2 * r - d_ball), abs=1e-12)
     assert mean == pytest.approx(abs(2 * r - d_ball), abs=1e-12)
+
+
+def test_tree_distortion_finite_for_distinct_points_near_boundary():
+    # the Mobius form of d(p, q) cancels to 0/0 here; the Gram arcosh form stays finite
+    p = np.array([1.0 - 1e-9, 0.0])
+    q = p + np.array([0.0, 1e-13])
+    pts = np.stack([np.zeros(2), p, q])
+    td = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    mx, mean = tree_distortion(td, pts, 1.0)
+    d0 = 2.0 * np.arctanh(1.0 - 1e-9)  # d(0, p), and d(0, q) to within 1e-17
+    # d(p, q) ~ 1e-4 lies below the Gram form's cancellation floor at this radius
+    d_pq = 2e-13 / (1e-9 * (2.0 - 1e-9))
+    assert mx == pytest.approx(d0 - 2.0, rel=1e-9)
+    assert mean == pytest.approx((2.0 * (d0 - 2.0) + 1.0 - d_pq) / 3.0, abs=1e-4)
+    with pytest.raises(ValueError):
+        tree_distortion(td, np.stack([np.zeros(2), p, 1.01 * p]), 1.0)  # a row outside the ball
 
 
 def test_tree_distortion_stress_descent_reported():

@@ -8,7 +8,7 @@ import pytest
 from helpers import ball_batch
 from hypergcl import geometry as geom
 from hypergcl import tensor as T
-from hypergcl.linalg import NotSPDError, cholesky, solve_lower, solve_upper
+from hypergcl.linalg import NotSPDError, cholesky
 from hypergcl.tensor import (
     NonFiniteError,
     SparseMatrix,
@@ -303,13 +303,30 @@ def test_training_bit_identical_with_add_at_scatter(monkeypatch, variant):
 
 # ------------------------------------------------ one factorization per logdet
 
+def _solve_lower(L, b):
+    """Reference forward substitution for L x = b (b a matrix)."""
+    x = np.array(b, dtype=float)
+    for i in range(L.shape[0]):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
+def _solve_upper(U, b):
+    """Reference back substitution for U x = b (b a matrix)."""
+    x = np.array(b, dtype=float)
+    for i in range(U.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - U[i, i + 1 :] @ x[i + 1 :]) / U[i, i]
+    return x
+
+
 def _logdet_reference(a):
-    """Reference `logdet` that factors twice: once for the value, again for the inverse."""
+    """Reference `logdet` that factors twice, once for the value and again for
+    the inverse, which it forms by two separate triangular solves."""
     sym = (a.data + a.data.T) / 2.0
     L = cholesky(sym)
     val = 2.0 * np.sum(np.log(np.diag(L)))
     L2 = cholesky(sym)
-    inv = solve_upper(L2.T, solve_lower(L2, np.eye(L2.shape[0])))
+    inv = _solve_upper(L2.T, _solve_lower(L2, np.eye(L2.shape[0])))
     inv = (inv + inv.T) / 2.0
     return T._record("logdet", val, (a,), lambda g: (float(g) * inv,))
 
