@@ -246,7 +246,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_embeddings(path) -> np.ndarray:
+def _load_embeddings(path, curvature=None) -> np.ndarray:
+    """Embedding rows from a CSV file; with a curvature, every row must lie inside the ball.
+
+    log0 would clamp a row on or outside the boundary and report a wrong
+    value without any error, so such a file is refused here.
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -258,11 +263,18 @@ def _load_embeddings(path) -> np.ndarray:
     z = np.asarray(rows, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError(f"{path}: embeddings contain non-finite values")
+    if curvature is not None:
+        outside = np.flatnonzero(curvature * np.sum(z * z, axis=1) >= 1.0)
+        if outside.size:
+            raise ValueError(
+                f"{path}: {outside.size} of {z.shape[0]} rows lie on or outside the ball of "
+                f"curvature {curvature} (c*||z||^2 >= 1), first row {outside[0]}"
+            )
     return z
 
 
 def cmd_eval(args) -> int:
-    z = _load_embeddings(args.embeddings)
+    z = _load_embeddings(args.embeddings, args.curvature)
     labels = load_label_csv(args.labels)
     splits = load_splits_json(args.splits)
     acc = linear_eval(z, labels, splits, curvature=args.curvature)
@@ -271,7 +283,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    z = _load_embeddings(args.embeddings)
+    z = _load_embeddings(args.embeddings, args.curvature)
     try:
         report = collapse_diagnostics(z, args.curvature)
     except ValueError as e:

@@ -9,6 +9,15 @@ where lam(z) = 2 / (1 - c ||z||^2) and g(z) = artanh(sqrt(c) ||z||) /
 of log0 (a radial map), so the density integrates to one over the open
 ball.  Evaluation at or outside the boundary returns exactly zero.
 
+For a zero-mean isotropic spec N(0, sigma^2 I) the sample radius has a
+closed-form law: ||y||^2 / sigma^2 is chi^2_d and ||z|| = tanh(sqrt(c) ||y||)
+/ sqrt(c) is increasing, so
+
+    F(r) = P(d/2, artanh(sqrt(c) r)^2 / (2 c sigma^2))
+
+with P the regularized lower incomplete gamma, a finite sum for every
+d >= 1 (`radial_cdf`).
+
 These evaluators are plain vectorized numpy (no tape): they feed quadrature
 grids of millions of points.  The Gaussian log density solves with
 `np.linalg.solve` against the spec's one `linalg.cholesky` factor.
@@ -16,6 +25,7 @@ grids of millions of points.  The Gaussian log density solves with
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -53,6 +63,8 @@ class AmbientDensitySpec:
         sigma = np.array(self.sigma, dtype=float)
         if mu.ndim != 1 or sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError(f"inconsistent spec shapes: mu {mu.shape}, sigma {sigma.shape}")
+        if mu.shape[0] < 1:
+            raise ValueError("spec dimension must be at least 1")
         chol = cholesky(sigma)  # raises NotSPDError unless SPD
         for name, arr in (("mu", mu), ("sigma", sigma), ("chol", chol)):
             arr.setflags(write=False)
@@ -187,42 +199,62 @@ def _check_isotropic(spec: AmbientDensitySpec, fname: str) -> None:
         raise ValueError(f"{fname} requires a zero mean")
 
 
-def _on_axis(spec: AmbientDensitySpec, radii: np.ndarray) -> np.ndarray:
-    """Density at the points (r, 0, ..., 0): the radial profile of an isotropic spec."""
-    pts = np.zeros((radii.shape[0], spec.dim))
-    pts[:, 0] = radii
-    return ambient_density_grid(pts, spec)
-
-
-def density_profile(spec: AmbientDensitySpec, n_radii: int, eps: float = 1e-5) -> np.ndarray:
-    """(radius, density) pairs on a uniform radial grid in [0, (1-eps)*R].
+def density_profile(spec: AmbientDensitySpec, n_radii: int) -> np.ndarray:
+    """(radius, density) pairs on a uniform radial grid in [0, (1 - 1e-5) R].
 
     Only zero-mean isotropic covariances are accepted; the density is then a
-    function of the radius alone.
+    function of the radius alone, evaluated at the points (r, 0, ..., 0).
     """
     _check_isotropic(spec, "density_profile")
     if n_radii < 2:
         raise ValueError("need at least two radii")
-    radii = np.linspace(0.0, (1.0 - eps) * spec.curvature.radius, n_radii)
-    return np.column_stack([radii, _on_axis(spec, radii)])
+    radii = np.linspace(0.0, (1.0 - 1e-5) * spec.curvature.radius, n_radii)
+    pts = np.zeros((n_radii, spec.dim))
+    pts[:, 0] = radii
+    return np.column_stack([radii, ambient_density_grid(pts, spec)])
 
 
-def radial_cdf(spec: AmbientDensitySpec, radii: np.ndarray, grid: int = 8192) -> np.ndarray:
-    """CDF of the sample radius ||z||, by cumulative quadrature of the density.
+def _lower_gamma(two_a: int, u: np.ndarray) -> np.ndarray:
+    """P(a, u) for a = two_a / 2, from P(1/2, u) = erf(sqrt(u)) or P(1, u) = 1 - e^-u.
+
+    Steps up by P(a + 1, u) = P(a, u) - u^a e^-u / Gamma(a + 1), the term
+    carried as a running product so that e^-u = 0 gives 0, never 0 * inf.
+    The subtractions leave an absolute error of at most about 1e-15 (d = 64),
+    so P is monotone in u up to that rounding; the clip keeps it in [0, 1].
+    """
+    if two_a % 2:
+        a = 0.5
+        p = np.vectorize(math.erf, otypes=[float])(np.sqrt(u))
+        term = np.sqrt(u) * np.exp(-u) / math.gamma(1.5)
+    else:
+        a = 1.0
+        p = -np.expm1(-u)
+        term = u * np.exp(-u)
+    while a < two_a / 2:
+        p -= term
+        a += 1.0
+        term *= u / a
+    return np.clip(p, 0.0, 1.0)
+
+
+def radial_cdf(spec: AmbientDensitySpec, radii: np.ndarray) -> np.ndarray:
+    """CDF of the sample radius ||z||, the closed form above, for every d >= 1.
 
     Isotropic zero-mean specs only (the radial marginal is well defined
-    there): f(r) = 2 p(r) in 1-D and 2 pi r p(r) in 2-D.
+    there).  Radii <= 0 give 0 and radii >= R give exactly 1.
     """
     _check_isotropic(spec, "radial_cdf")
-    if spec.dim not in (1, 2):
-        raise ValueError("radial_cdf supports d in {1, 2}")
-    h = spec.curvature.radius / grid
-    rs = h * (np.arange(grid) + 0.5)
-    dens = _on_axis(spec, rs)
-    f = 2.0 * dens if spec.dim == 1 else 2.0 * np.pi * rs * dens
-    cum = np.concatenate([[0.0], np.cumsum(f) * h])
-    edges = np.concatenate([[0.0], rs + 0.5 * h])
-    return np.interp(np.asarray(radii, dtype=float), edges, cum)
+    r = np.asarray(radii, dtype=float)
+    radius = spec.curvature.radius
+    out = np.where(r >= radius, 1.0, 0.0)
+    out[np.isnan(r)] = np.nan
+    inside = (r > 0.0) & (r < radius)
+    ri = r[inside]
+    # the tangent radius; sqrt(c) * r can round up to 1 just below R, where artanh is infinite
+    x = np.minimum(np.sqrt(spec.curvature.c) * ri, np.nextafter(1.0, 0.0))
+    rho = ri * _g_factor(x)
+    out[inside] = _lower_gamma(spec.dim, rho * rho / (2.0 * spec.sigma[0, 0]))
+    return out
 
 
 def write_profile_csv(path, table: np.ndarray) -> None:

@@ -2,15 +2,16 @@
 
 Every span `perfbench/run.py` requires of a workload must be called, so a
 refactor that removes a wrapped function fails here rather than in a traced
-benchmark run.  The naive-uniformity workload writes the same bytes under
-one and two BLAS threads.  That training run barely reaches the pair ops'
-gradient (its zero rows from node dropping hold almost all of the
-log-mean-exp weight), so the pair ops are also checked on their own: their
-values and VJPs on 364 rows, which take a 364 x 364 Gram matrix and a
-gradient product `S @ Z` with the node count as its inner dimension, are
-byte-identical under one and two threads.
+benchmark run.  An untraced run of each workload must pass the output
+checks the benchmark puts on every run, or the benchmark exits 1.  The
+naive-uniformity workload writes the same bytes under one and two BLAS
+threads.  That training run barely reaches the pair ops' gradient (its zero
+rows from node dropping hold almost all of the log-mean-exp weight), so the
+pair ops are also checked on their own: their values and VJPs on 364 rows,
+which take a 364 x 364 Gram matrix and a gradient product `S @ Z` with the
+node count as its inner dimension, are byte-identical under one and two
+threads.
 """
-import importlib.util
 import json
 import os
 import subprocess
@@ -20,10 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import bench
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -47,6 +47,20 @@ def test_traced_training_calls_every_required_span(workload, tmp_path):
     layers = report["trace"]["layers"]
     missing = sorted(s for s in bench.expected_spans(workload) if layers.get(s, {}).get("calls", 0) == 0)
     assert not missing, f"spans required on {workload} but never called: {missing}"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_training_passes_the_benchmark_output_checks(workload, tmp_path):
+    # exit 0, the trace.csv header and logged steps, finite outputs inside the
+    # eps-ball; the erank floor is a property of the full-size run, not of 3 steps
+    cfg = _tiny(workload)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    spec = {k: v for k, v in bench.WORKLOADS[workload].items() if k != "min_erank_tangent"}
+    spec["out_dim"] = cfg["encoder"]["out_dim"]
+    out = tmp_path / "out"
+    report = bench.judge(bench.spawn_child(cfg_path, out, False, 60.0), out, cfg, spec)
+    assert report["ok"], report["problems"]
 
 
 def test_naive_training_at_364_nodes_is_byte_identical_under_one_and_two_blas_threads(tmp_path):

@@ -149,6 +149,15 @@ def test_eval_and_diagnose_roundtrip(tmp_path, capsys):
     assert 1.0 <= report["erank_tangent"] <= 8.0
 
 
+def test_eval_without_curvature_takes_rows_of_any_norm(tmp_path, capsys):
+    # Euclidean embeddings have no ball: only --curvature refuses rows outside it
+    _failure_inputs(tmp_path)
+    argv = ["eval", "--embeddings", str(tmp_path / "outside.csv"), "--labels", str(tmp_path / "y4.csv"),
+            "--splits", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["accuracy"] <= 1.0
+
+
 def test_eval_missing_file_exit(tmp_path):
     rc = cli.main(
         [
@@ -544,6 +553,13 @@ FAILURES = [
       for cmd, extra in (("eval", " --labels {t}/y4.csv --splits {t}/s.json"), ("diagnose", ""))
       for v in ("-1", "0", "nan", "inf")],
     ("diagnose-absent-file", "diagnose --embeddings {t}/absent.csv", 2, "absent.csv"),
+    ("eval-outside-ball", "eval --embeddings {t}/outside.csv --labels {t}/y4.csv --splits {t}/s.json --curvature 1",
+     2, "outside.csv: 2 of 4 rows lie on or outside the ball of curvature 1.0 (c*||z||^2 >= 1), first row 0"),
+    ("diagnose-outside-ball", "diagnose --embeddings {t}/outside.csv", 2,
+     "outside.csv: 2 of 4 rows lie on or outside the ball of curvature 1.0 (c*||z||^2 >= 1), first row 0"),
+    ("diagnose-on-boundary", "diagnose --embeddings {t}/boundary.csv", 2, "boundary.csv: 1 of 2 rows lie on or outside"),
+    ("diagnose-outside-curved-ball", "diagnose --embeddings {t}/emb.csv --curvature 20", 2,
+     "emb.csv: 4 of 4 rows lie on or outside the ball of curvature 20.0"),
     ("diagnose-all-zero", "diagnose --embeddings {t}/zero.csv", 2, "zero.csv: effective rank of an all-zero"),
     ("diagnose-unwritable-out", "diagnose --embeddings {t}/emb.csv --out {t}/blocker/d.json", 2, "blocker"),
     ("density-dim", "density --sigma 1 --curvature 1 --dim 3 --out {t}/out", 1, "unsupported dimension 3"),
@@ -593,6 +609,8 @@ def _failure_inputs(tmp_path):
     (tmp_path / "blocker").write_text("")  # a file where a directory should go
     (tmp_path / "zero.csv").write_text("0,0\n0,0\n0,0\n")
     (tmp_path / "emb.csv").write_text("0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
+    (tmp_path / "outside.csv").write_text("3.0,0.0\n0.1,0.2\n0.0,-2.04\n0.0,0.3\n")  # norms 3.0 and 2.04
+    (tmp_path / "boundary.csv").write_text("0.1,0.2\n1.0,0.0\n")
     (tmp_path / "y.csv").write_text("label\n0\n1\n")
     (tmp_path / "y4.csv").write_text("label\n0\n1\n0\n1\n")
     (tmp_path / "s.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 3]}))

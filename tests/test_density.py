@@ -1,10 +1,11 @@
-"""Push-forward density: analytic values, sampling, quadrature, profiles."""
+"""Push-forward density: analytic values, sampling, quadrature, profiles, radial law."""
 import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
+from helpers import ks_statistic
 from hypergcl import density
 from hypergcl.density import (
     AmbientDensitySpec,
@@ -32,6 +33,8 @@ def test_spec_validation():
         AmbientDensitySpec(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), Curvature(1.0))
     with pytest.raises(ValueError):
         AmbientDensitySpec(np.zeros(2), np.eye(3), Curvature(1.0))
+    with pytest.raises(ValueError, match="^spec dimension must be at least 1$"):
+        isotropic_spec(1.0, 1.0, 0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan, np.inf, 1e200, 1e-200, 1e-155])
@@ -118,13 +121,50 @@ def test_radial_ks_one_dim_quick():
     spec = isotropic_spec(1.0, 1.0, 1)
     z = sample_ambient(20000, spec, seed=3)
     r = np.sort(np.abs(z[:, 0]))
-    cdf = radial_cdf(spec, r)
-    n = r.size
-    ks = max(
-        np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
-        np.max(np.abs(cdf - np.arange(0, n) / n)),
-    )
-    assert ks < 0.02
+    assert ks_statistic(r, radial_cdf(spec, r)) < 0.02
+
+
+@pytest.mark.parametrize("d", [3, 5, 16])
+def test_radial_ks_beyond_two_dims(d):
+    spec = isotropic_spec(1.0, 1.0, d)
+    r = np.sort(np.linalg.norm(sample_ambient(100000, spec, seed=d), axis=1))
+    assert ks_statistic(r, radial_cdf(spec, r)) < 0.01
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 64])
+@pytest.mark.parametrize("sigma, c", [(0.05, 1.0), (1.0, 1.0), (3.0, 0.6)])
+def test_radial_cdf_is_a_cdf(sigma, c, d):
+    spec = isotropic_spec(sigma, c, d)
+    radius = spec.curvature.radius
+    inner = np.linspace(0.0, radius, 20001)[:-1]
+    cdf = radial_cdf(spec, np.concatenate([inner, [np.nextafter(radius, 0.0)]]))
+    assert cdf[0] == 0.0
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+    # the gamma recursion subtracts, so F is monotone up to its ~1e-15 rounding
+    assert np.all(np.diff(cdf) >= -1e-15)
+    outside = radial_cdf(spec, np.array([radius, 1.5 * radius, np.inf, -1e-300, -1.0, np.nan]))
+    assert outside[:5].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0] and np.isnan(outside[5])
+
+
+def _quadrature_cdf(spec, radii, grid=8192):
+    """Cumulative midpoint quadrature of the radial density (d = 1 or 2)."""
+    h = spec.curvature.radius / grid
+    rs = h * (np.arange(grid) + 0.5)
+    pts = np.zeros((grid, spec.dim))
+    pts[:, 0] = rs
+    dens = ambient_density_grid(pts, spec)
+    f = 2.0 * dens if spec.dim == 1 else 2.0 * np.pi * rs * dens
+    cum = np.concatenate([[0.0], np.cumsum(f) * h])
+    edges = np.concatenate([[0.0], rs + 0.5 * h])
+    return np.interp(radii, edges, cum)
+
+
+@pytest.mark.parametrize("sigma, c, d", [(0.3, 1.0, 1), (1.0, 1.0, 1), (0.7, 1.0, 2), (1.2, 0.6, 2), (1.0, 1.0, 2)])
+def test_radial_cdf_matches_the_quadrature_of_the_density(sigma, c, d):
+    # the closed form and the integral of the density formula are independent
+    spec = isotropic_spec(sigma, c, d)
+    radii = np.linspace(0.0, spec.curvature.radius, 5001)
+    assert np.max(np.abs(radial_cdf(spec, radii) - _quadrature_cdf(spec, radii))) <= 3e-6
 
 
 def test_boundary_guard_exact_zero():
@@ -136,11 +176,10 @@ def test_boundary_guard_exact_zero():
 
 
 def test_profile_shapes():
-    eps = 1e-5
-    prof = density_profile(isotropic_spec(0.3, 1.0, 2), 300, eps=eps)
+    prof = density_profile(isotropic_spec(0.3, 1.0, 2), 300)
     radii, dens = prof[:, 0], prof[:, 1]
     assert radii[0] == 0.0
-    assert radii[-1] == pytest.approx(1.0 - eps)
+    assert radii[-1] == pytest.approx(1.0 - 1e-5)
     assert np.all(np.diff(radii) > 0)
     assert radii[np.argmax(dens)] == 0.0  # small sigma: mode at the center
 
@@ -205,7 +244,7 @@ def test_sigma_is_factored_once_per_spec(monkeypatch):
     spec = isotropic_spec(0.8, 1.0, 2)
     integrate_density(spec, resolution=256)
     sample_ambient(10, spec, seed=0)
-    radial_cdf(spec, np.linspace(0.0, 0.9, 5), grid=256)
+    radial_cdf(spec, np.linspace(0.0, 0.9, 5))
     density_profile(spec, 10)
     ambient_density(np.array([0.1, 0.2]), spec)
     assert len(calls) == 1
