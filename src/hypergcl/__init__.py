@@ -44,14 +44,16 @@ from .losses import (
 )
 from .graphnet import AugmentationConfig, GcnParams, Graph, augment, encode, normalize_adjacency
 from .trainer import (
-    DatasetConfig,
+    BalancedTree,
     EncoderConfig,
     EvalConfig,
     ExperimentConfig,
+    Files,
     OptimizerConfig,
+    Sbm,
     TrainingTrace,
+    build_dataset,
     linear_eval,
-    make_synthetic,
     sweep,
     train,
 )
@@ -98,14 +100,16 @@ __all__ = [
     "augment",
     "encode",
     "normalize_adjacency",
-    "DatasetConfig",
+    "BalancedTree",
     "EncoderConfig",
     "EvalConfig",
     "ExperimentConfig",
+    "Files",
     "OptimizerConfig",
+    "Sbm",
     "TrainingTrace",
+    "build_dataset",
     "linear_eval",
-    "make_synthetic",
     "sweep",
     "train",
 ]

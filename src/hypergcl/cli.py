@@ -2,12 +2,12 @@
 
 All output is CSV or JSON for external plotting.  Every run echoes its fully
 resolved configuration to `resolved_config.json`, and identical configs with
-identical seeds produce byte-identical output files.  The config's keys,
-their types and their defaults are read from the config dataclasses
-(`trainer.ExperimentConfig` and the ones it nests) and the dataset keys
-from `trainer.DATASET_KEYS`; this module states none of them.
+identical seeds produce byte-identical output files at one BLAS thread count.
+The config's keys, their types and their defaults are read from the config
+dataclasses (`trainer.ExperimentConfig`, those it nests and the dataset
+classes in `trainer.DATASET_KINDS`); this module states none of them.
 
-Exit codes: 0 success, 1 config/usage error, 2 dataset or output-path error,
+Exit codes: 0 success, 1 config/usage error, 2 dataset-file or output-path error,
 3 non-finite loss, 4 failed verification property.  The commands raise and
 `main` alone turns a failure into an exit code and one `error: ...` line:
 `ConfigError` is 1, any other `ValueError` or `OSError` is 2 and
@@ -30,7 +30,8 @@ from . import density
 from .geometry import Curvature
 from .graphnet import load_label_csv, load_splits_json
 from .trainer import (
-    DATASET_KEYS,
+    DATASET_KINDS,
+    DatasetSpec,
     ExperimentConfig,
     NonFiniteLossError,
     SWEEP_AXES,
@@ -90,7 +91,6 @@ def _field_types(cls) -> dict:
 def _json_types() -> dict:
     """Config file key -> type, or a dict of them for a section."""
     types = _field_types(ExperimentConfig)
-    del types["dataset"]  # checked per kind against DATASET_KEYS
     types["loss"] = {**types.pop("weights"), **{k: types.pop(k) for k in _LOSS_FIELDS}}
     types["out_dir"] = str
     return types
@@ -100,17 +100,17 @@ _JSON_TYPES = _json_types()
 
 
 def _checked(obj: dict, types: dict, prefix: str = "") -> dict:
-    """obj with its values checked by `check_value`; unknown keys are rejected by dotted key."""
+    """obj with its values checked by `check_value`, a dataset by `_dataset`; unknown keys are rejected by dotted key."""
     out = {}
     for key, val in obj.items():
         path = f"{prefix}{key}"
         if key not in types:
             raise ConfigError(f"unknown config key '{path}'")
         typ = types[key]
-        if isinstance(typ, dict):
+        if isinstance(typ, dict) or typ is DatasetSpec:
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{path}' must be an object")
-            out[key] = _checked(val, typ, prefix=f"{path}.")
+            out[key] = _dataset(val, path) if typ is DatasetSpec else _checked(val, typ, prefix=f"{path}.")
         else:
             try:
                 out[key] = check_value(path, typ, val)
@@ -119,16 +119,21 @@ def _checked(obj: dict, types: dict, prefix: str = "") -> dict:
     return out
 
 
-def _checked_dataset(ds) -> dict:
-    """The DatasetConfig fields of a dataset section; params are kept as written."""
-    if not isinstance(ds, dict):
-        raise ConfigError("config key 'dataset' must be an object")
-    kind = ds.get("kind")
-    if not isinstance(kind, str) or kind not in DATASET_KEYS:
-        raise ConfigError(f"config key 'dataset.kind' must be one of {sorted(DATASET_KEYS)}")
-    params = {k: v for k, v in ds.items() if k != "kind"}
-    _checked(params, DATASET_KEYS[kind], prefix="dataset.")
-    return {"kind": kind, "params": params}
+def _dataset(section: dict, path: str):
+    """The dataset of a config section: its "kind" picks the class, whose fields are its other keys."""
+    kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise ConfigError(f"config key '{path}.kind' must be one of {sorted(DATASET_KINDS)}")
+    cls = DATASET_KINDS[kind]
+    values = _checked({k: v for k, v in section.items() if k != "kind"}, _field_types(cls), prefix=f"{path}.")
+    missing = [f"'{path}.{f.name}'" for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING and f.name not in values]
+    if missing:
+        raise ConfigError(f"{kind} dataset is missing config key {', '.join(missing)}")
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _replaced(default, values: dict):
@@ -137,7 +142,7 @@ def _replaced(default, values: dict):
     for f in dataclasses.fields(default):
         if f.name in values:
             old, new = getattr(default, f.name), values[f.name]
-            changes[f.name] = _replaced(old, new) if dataclasses.is_dataclass(old) else new
+            changes[f.name] = _replaced(old, new) if isinstance(new, dict) else new
     return dataclasses.replace(default, **changes)
 
 
@@ -146,16 +151,14 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig, str]:
 
     Keys, their types and their defaults are those of `ExperimentConfig`
     and its nested config dataclasses; the "loss" section holds
-    `LossWeights` and the top-level loss fields, and dataset keys are
-    checked against `trainer.DATASET_KEYS`.  Unknown keys and mistyped
-    values are rejected by name; missing keys take the dataclass defaults
-    (the resolved values are echoed to resolved_config.json).
+    `LossWeights` and the top-level loss fields, and the dataset section a
+    "kind" and that kind's fields.  Unknown keys, mistyped values and missing
+    required dataset keys are rejected by name; other missing keys take the
+    dataclass defaults (the resolved values are echoed to resolved_config.json).
     """
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-    values = _checked({k: v for k, v in raw.items() if k != "dataset"}, _JSON_TYPES)
-    if "dataset" in raw:
-        values["dataset"] = _checked_dataset(raw["dataset"])
+    values = _checked(raw, _JSON_TYPES)
     loss = values.pop("loss", {})
     values["weights"] = {k: v for k, v in loss.items() if k not in _LOSS_FIELDS}
     values.update((k, v) for k, v in loss.items() if k in _LOSS_FIELDS)
@@ -169,8 +172,8 @@ def parse_config(raw: dict) -> tuple[ExperimentConfig, str]:
 def _resolved_dict(cfg: ExperimentConfig, out_dir: str) -> dict:
     resolved = dataclasses.asdict(cfg)
     resolved["loss"] = {**resolved.pop("weights"), **{k: resolved.pop(k) for k in _LOSS_FIELDS}}
-    dataset = resolved.pop("dataset")
-    resolved["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
+    kind = next(k for k, cls in DATASET_KINDS.items() if isinstance(cfg.dataset, cls))
+    resolved["dataset"] = {"kind": kind, **resolved["dataset"]}
     resolved["out_dir"] = out_dir
     return resolved
 
@@ -223,8 +226,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = _override(cfg, "--seed", "seed", args.seed)
     out_dir = args.out or cfg_out
-    _ensure_out_dir(out_dir)
     graph = build_dataset(cfg.dataset, cfg.seed)
+    _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "resolved_config.json"), _resolved_dict(cfg, out_dir))
     try:
         params, trace = train(cfg, graph)

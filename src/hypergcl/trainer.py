@@ -4,20 +4,22 @@ One training step opens a fresh tape, encodes two independently augmented
 views, evaluates the selected objective and applies an Adam update to the
 Euclidean encoder parameters (the manifold constraint is enforced by the
 projection head, so no Riemannian optimizer is involved).  Everything is
-seeded: given identical configs, two runs produce bit-identical traces.
+seeded: given identical configs, two runs at the same BLAS thread count
+produce bit-identical traces.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
-from typing import Optional, get_args
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import geometry as geom
 from . import losses, spectral
-from .graphnet import AugmentationConfig, GcnParams, Graph, augment, encode, init_params, normalize_adjacency
+from .graphnet import (AugmentationConfig, GcnParams, Graph, augment, encode, init_params, load_graph,
+                       normalize_adjacency)
 from .losses import LossWeights
 from .tensor import NonFiniteError, Tape, Tensor
 from .linalg import NotSPDError
@@ -26,15 +28,17 @@ __all__ = [
     "OptimizerConfig",
     "EncoderConfig",
     "EvalConfig",
-    "DatasetConfig",
+    "DatasetSpec",
+    "BalancedTree",
+    "Sbm",
+    "Files",
+    "DATASET_KINDS",
     "ExperimentConfig",
     "TraceRecord",
     "TrainingTrace",
     "NonFiniteLossError",
     "Adam",
-    "DATASET_KEYS",
     "check_value",
-    "make_synthetic",
     "build_dataset",
     "train",
     "collapse_diagnostics",
@@ -108,18 +112,6 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """Synthetic generator spec or file paths; `DATASET_KEYS` lists each kind's keys."""
-
-    kind: str = "balanced_tree"
-    params: dict = field(default_factory=lambda: {"branching": 3, "height": 4})
-
-    def __post_init__(self):
-        if self.kind not in DATASET_KEYS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     curvature: float = 1.0
     eps: float = 1e-5
@@ -135,7 +127,7 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
     log_every: int = 10
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    dataset: DatasetSpec = field(default_factory=lambda: BalancedTree(3, 4))
 
     def __post_init__(self):
         if not 0.0 < self.curvature < math.inf:
@@ -209,26 +201,6 @@ def _derived_seed(*parts) -> int:
 
 # ------------------------------------------------------------------ datasets
 
-# dataset kind -> config key -> JSON type of its value
-DATASET_KEYS = {
-    "balanced_tree": {"branching": int, "height": int, "feature_noise": float, "train_per_class": int},
-    "sbm": {
-        "block_sizes": list[int],
-        "p_in": float,
-        "p_out": float,
-        "feature_noise": float,
-        "train_per_class": int,
-    },
-    "files": {"edges": str, "features": str, "labels": str, "splits": str},
-}
-# dataset kind -> the keys it cannot do without
-_REQUIRED_KEYS = {
-    "balanced_tree": ("branching", "height"),
-    "sbm": ("block_sizes", "p_in", "p_out"),
-    "files": ("edges", "features"),
-}
-
-
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
@@ -252,15 +224,79 @@ _TYPE_CHECKS = {
 
 def check_value(path: str, typ, val):
     """val, stored as float for a float key; ValueError naming `path` if its JSON type is wrong."""
-    nullable = type(None) in get_args(typ)  # Optional[float]
+    nullable = type(None) in get_args(typ)  # Optional[float], Optional[str]
     if nullable:
         if val is None:
             return None
-        typ = float
+        [typ] = [t for t in get_args(typ) if t is not type(None)]
     what, ok = _TYPE_CHECKS[typ]
     if not ok(val):
         raise ValueError(f"config key '{path}' must be {what}{' or null' if nullable else ''}, got {val!r}")
     return float(val) if typ is float else val
+
+
+class DatasetSpec:
+    """Base of the dataset kinds: every field is checked by `check_value` and a float field stored as float."""
+
+    def __post_init__(self):
+        for name, typ in get_type_hints(type(self)).items():
+            object.__setattr__(self, name, check_value(f"dataset.{name}", typ, getattr(self, name)))
+
+
+@dataclass(frozen=True)
+class BalancedTree(DatasetSpec):
+    """A complete b-ary tree of depth h (b >= 2, h >= 2).
+
+    Each node's label is the root-child subtree it belongs to (the root
+    joins subtree 0).  Features are a noisy one-hot of the label, and
+    `train_per_class` nodes of each class form the train split.
+    """
+
+    branching: int
+    height: int
+    feature_noise: float = 0.3
+    train_per_class: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.branching < 2 or self.height < 2:
+            raise ValueError("balanced_tree needs branching >= 2 and height >= 2")
+        if self.train_per_class < 1:
+            raise ValueError("train_per_class must be >= 1")
+
+
+@dataclass(frozen=True)
+class Sbm(DatasetSpec):
+    """A stochastic block model with 0 <= p_out < p_in <= 1, labelled by block; features as for `BalancedTree`."""
+
+    block_sizes: list[int]
+    p_in: float
+    p_out: float
+    feature_noise: float = 0.3
+    train_per_class: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.block_sizes or min(self.block_sizes) < 1:
+            raise ValueError("sbm needs nonempty positive block sizes")
+        if not (0.0 <= self.p_out < self.p_in <= 1.0):
+            raise ValueError("sbm requires 0 <= p_out < p_in <= 1")
+        if self.train_per_class < 1:
+            raise ValueError("train_per_class must be >= 1")
+
+
+@dataclass(frozen=True)
+class Files(DatasetSpec):
+    """Paths of a file-backed graph, read by `graphnet.load_graph`."""
+
+    edges: str
+    features: str
+    labels: Optional[str] = None
+    splits: Optional[str] = None
+
+
+# the config file's dataset "kind" -> its spec class
+DATASET_KINDS = {"balanced_tree": BalancedTree, "sbm": Sbm, "files": Files}
 
 
 def _make_splits(labels: np.ndarray, train_per_class: int, rng) -> dict:
@@ -280,44 +316,13 @@ def _make_splits(labels: np.ndarray, train_per_class: int, rng) -> dict:
     }
 
 
-def _noisy_onehot(labels: np.ndarray, num_classes: int, noise: float, rng) -> np.ndarray:
-    x = np.eye(num_classes)[labels]
-    return x + noise * rng.standard_normal(x.shape)
-
-
-def _dataset_params(kind: str, params: dict) -> dict:
-    """params, each value checked by `check_value` against `DATASET_KEYS`; missing or unknown keys refused."""
-    keys = DATASET_KEYS[kind]
-    checked = {k: check_value(f"dataset.{k}", keys[k], v) if k in keys else v for k, v in params.items()}
-    missing = [k for k in _REQUIRED_KEYS[kind] if k not in params]
-    if missing:
-        names = ", ".join(f"'dataset.{k}'" for k in missing)
-        raise ValueError(f"{kind} dataset is missing config key {names}")
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {kind} params {unknown}")
-    return checked
-
-
-def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
-    """Deterministic desk-scale benchmark graphs.
-
-    balanced_tree(branching b >= 2, height h >= 2): a complete b-ary tree
-    of depth h; each node's label is the root-child subtree it belongs to
-    (the root joins subtree 0).  sbm(block_sizes, p_in > p_out): labels are
-    block ids.  Features are a noisy one-hot of the label.  The params are
-    checked by `_dataset_params`.
-    """
-    if kind not in ("balanced_tree", "sbm"):
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+def build_dataset(spec: DatasetSpec, seed: int) -> Graph:
+    """The graph of a dataset spec: a synthetic one is drawn deterministically from `seed`."""
+    if isinstance(spec, Files):
+        return load_graph(spec.edges, spec.features, spec.labels, spec.splits)
     rng = np.random.default_rng(seed)
-    params = _dataset_params(kind, params)
-    noise = params.get("feature_noise", 0.3)
-    train_per_class = params.get("train_per_class", 10)
-    if kind == "balanced_tree":
-        b, h = params["branching"], params["height"]
-        if b < 2 or h < 2:
-            raise ValueError("balanced_tree needs branching >= 2 and height >= 2")
+    if isinstance(spec, BalancedTree):
+        b, h = spec.branching, spec.height
         n = (b ** (h + 1) - 1) // (b - 1)
         children = np.arange(1, n)
         edges = np.column_stack([(children - 1) // b, children])
@@ -327,32 +332,18 @@ def make_synthetic(kind: str, params: dict, seed: int) -> Graph:
             while anc > b:
                 anc = (anc - 1) // b
             labels[i] = anc - 1
-        features = _noisy_onehot(labels, b, noise, rng)
-        splits = _make_splits(labels, train_per_class, rng)
-        return Graph(n, edges, features, labels=labels, splits=splits)
-    sizes, p_in, p_out = params["block_sizes"], params["p_in"], params["p_out"]
-    if not sizes or min(sizes) < 1:
-        raise ValueError("sbm needs nonempty positive block sizes")
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise ValueError("sbm requires 0 <= p_out < p_in <= 1")
-    n = sum(sizes)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < prob
-    edges = np.column_stack([iu[keep], ju[keep]])
-    features = _noisy_onehot(labels, len(sizes), noise, rng)
-    splits = _make_splits(labels, train_per_class, rng)
+    else:
+        sizes = spec.block_sizes
+        n = sum(sizes)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        iu, ju = np.triu_indices(n, k=1)
+        prob = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
+        keep = rng.random(iu.size) < prob
+        edges = np.column_stack([iu[keep], ju[keep]])
+    onehot = np.eye(labels.max() + 1)[labels]
+    features = onehot + spec.feature_noise * rng.standard_normal(onehot.shape)
+    splits = _make_splits(labels, spec.train_per_class, rng)
     return Graph(n, edges, features, labels=labels, splits=splits)
-
-
-def build_dataset(cfg: DatasetConfig, seed: int) -> Graph:
-    if cfg.kind == "files":
-        from .graphnet import load_graph
-
-        p = _dataset_params(cfg.kind, cfg.params)
-        return load_graph(p["edges"], p["features"], p.get("labels"), p.get("splits"))
-    return make_synthetic(cfg.kind, cfg.params, seed)
 
 
 # ------------------------------------------------------------------ training

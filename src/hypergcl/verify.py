@@ -423,14 +423,14 @@ def spectral_suite(seed: int = 20240504) -> list:
     )
 
     from .losses import LossWeights
-    from .trainer import DatasetConfig, EncoderConfig, ExperimentConfig, OptimizerConfig, train
+    from .trainer import BalancedTree, EncoderConfig, ExperimentConfig, OptimizerConfig, train
 
     cfg = ExperimentConfig(
         variant="hypergcl",
         weights=LossWeights(lambda_u=3.0, t=2.0),
         encoder=EncoderConfig(hidden_dim=32, out_dim=16, init_scale=6.0),
         optimizer=OptimizerConfig(learning_rate=1e-2, steps=400),
-        dataset=DatasetConfig(kind="balanced_tree", params={"branching": 3, "height": 4, "feature_noise": 1.0}),
+        dataset=BalancedTree(branching=3, height=4, feature_noise=1.0),
         augment1=AugmentationConfig(edge_drop_prob=0.2, node_drop_prob=0.1, seed=1),
         augment2=AugmentationConfig(edge_drop_prob=0.2, node_drop_prob=0.1, seed=2),
         seed=0,

@@ -27,7 +27,7 @@ from hypergcl.spectral import (
 )
 from hypergcl.tensor import Tape, Tensor, finite_diff_check
 from hypergcl.trainer import (
-    DatasetConfig,
+    BalancedTree,
     EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
@@ -45,9 +45,7 @@ BENCH = ExperimentConfig(
     weights=LossWeights(lambda_u=3.0, t=2.0),
     encoder=EncoderConfig(hidden_dim=32, out_dim=16, init_scale=6.0),
     optimizer=OptimizerConfig(learning_rate=1e-2, steps=500),
-    dataset=DatasetConfig(
-        kind="balanced_tree", params={"branching": 3, "height": 4, "feature_noise": 1.0}
-    ),
+    dataset=BalancedTree(3, 4, feature_noise=1.0),
     augment1=AugmentationConfig(0.2, 0.1, seed=1),
     augment2=AugmentationConfig(0.2, 0.1, seed=2),
     seed=0,

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file outputs, determinism, config validation."""
 import copy
+import dataclasses
 import json
 import os
 import shlex
@@ -112,13 +113,9 @@ def test_eval_and_diagnose_roundtrip(tmp_path, capsys):
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
 
     # write labels and splits for the same synthetic dataset
-    from hypergcl.trainer import make_synthetic
+    from hypergcl.trainer import BalancedTree, build_dataset
 
-    g = make_synthetic(
-        "balanced_tree",
-        {"branching": 2, "height": 3, "feature_noise": 0.5, "train_per_class": 3},
-        seed=0,
-    )
+    g = build_dataset(BalancedTree(2, 3, feature_noise=0.5, train_per_class=3), seed=0)
     labels = tmp_path / "labels.csv"
     labels.write_text("label\n" + "\n".join(str(v) for v in g.labels))
     splits = tmp_path / "splits.json"
@@ -191,13 +188,15 @@ def test_diagnose_degenerate_embeddings_exit(tmp_path, capsys, rows, problem):
     [
         ({"kind": "balanced_tree", "branching": 2}, "height"),
         ({"kind": "sbm", "block_sizes": [5, 5], "p_in": 0.5}, "p_out"),
+        ({"kind": "files", "features": "x.csv"}, "edges"),
     ],
-    ids=["balanced_tree", "sbm"],
+    ids=["balanced_tree", "sbm", "files"],
 )
 def test_train_dataset_missing_key_exit(tmp_path, capsys, dataset, missing):
     cfg = write_config(tmp_path, extra={"dataset": dataset})
-    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     assert f"'dataset.{missing}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
@@ -252,7 +251,7 @@ DEFAULTS = {
     "eval": {"steps": 300, "learning_rate": 0.5, "l2": 1e-4},
     "seed": 0,
     "log_every": 10,
-    "dataset": {"kind": "balanced_tree", "branching": 3, "height": 4},
+    "dataset": {"kind": "balanced_tree", "branching": 3, "height": 4, "feature_noise": 0.3, "train_per_class": 10},
     "out_dir": "",
 }
 
@@ -293,19 +292,22 @@ def test_resolved_defaults_golden():
         EVERY_KEY_CONFIG,
         {**BASE_CONFIG, "dataset": {"kind": "sbm", "block_sizes": [5, 5], "p_in": 0.5, "p_out": 0.1}},
         {**BASE_CONFIG, "dataset": {"kind": "files", "edges": "e.txt", "features": "x.csv", "labels": "y.csv"}},
+        {**BASE_CONFIG, "dataset": {"kind": "files", "edges": "e.txt", "features": "x.csv"}},
     ],
-    ids=["base", "every-key", "sbm", "files"],
+    ids=["base", "every-key", "sbm", "files", "files-no-labels"],
 )
 def test_resolved_config_parses_back_to_the_same_config(raw):
     cfg, out = cli.parse_config(raw)
     resolved = cli._resolved_dict(cfg, out)
     assert cli.parse_config(resolved) == (cfg, out)
-    # dataset params are echoed as written, never coerced
-    assert _canonical(resolved["dataset"]) == _canonical(raw["dataset"])
-    # every other value has its default's type: an integer given for a float key is stored as float
+    # the dataset section echoes every key given, and the defaults of the others
+    fields = {f.name for f in dataclasses.fields(cfg.dataset)}
+    assert set(resolved["dataset"]) == {"kind", *fields}
+    assert {k: resolved["dataset"][k] for k in raw["dataset"]} == raw["dataset"]
+    # every value has its default's type: an integer given for a float key is stored as float
     default_types = {path: float if v is None else type(v) for path, v in _leaves(DEFAULTS)}
     for path, val in _leaves(resolved):
-        if not path.startswith("dataset."):
+        if path in default_types:
             assert val is None or type(val) is default_types[path], path
 
 
@@ -544,7 +546,13 @@ FAILURES = [
      "argument --seed: invalid int value: 'abc'"),
     ("unknown-command", "bogus --out {t}/out", 1, "argument command: invalid choice: 'bogus'"),
     ("train-unwritable-out", "train --config {t}/base.json --out {t}/blocker/sub", 2, "blocker"),
-    ("train-missing-key", "train --config {t}/no-height.json --out {t}/out", 2, "key 'dataset.height'"),
+    ("train-missing-key", "train --config {t}/no-height.json --out {t}/out", 1, "key 'dataset.height'"),
+    ("train-branching-1", "train --config {t}/branching-1.json --out {t}/out", 1,
+     "balanced_tree needs branching >= 2 and height >= 2"),
+    ("train-p-out-not-below-p-in", "train --config {t}/p-out.json --out {t}/out", 1, "sbm requires 0 <= p_out < p_in <= 1"),
+    ("train-train-per-class-0", "train --config {t}/train-per-class-0.json --out {t}/out", 1,
+     "train_per_class must be >= 1"),
+    ("train-absent-dataset-file", "train --config {t}/absent-files.json --out {t}/out", 2, "absent-edges.txt"),
     ("train-nonfinite", "train --config {t}/nonfinite.json --out {t}/out", 3, "non-finite loss at step"),
     ("eval-absent-file", "eval --embeddings {t}/absent.csv --labels {t}/y.csv --splits {t}/s.json", 2, "absent.csv"),
     ("eval-short-labels", "eval --embeddings {t}/emb.csv --labels {t}/y.csv --splits {t}/s.json", 2, "2 labels for 4"),
@@ -591,7 +599,7 @@ FAILURES = [
       for v in ("inf", "nan")],
     ("sweep-negative-seed", "sweep --config {t}/base.json --axis curvature --values 1 --seeds 0,-1 --out {t}/out", 1,
      "--seeds -1: seed must be nonnegative"),
-    ("sweep-missing-key", "sweep --config {t}/no-height.json --axis curvature --values 1 --out {t}/out", 2,
+    ("sweep-missing-key", "sweep --config {t}/no-height.json --axis curvature --values 1 --out {t}/out", 1,
      "key 'dataset.height'"),
     ("sweep-unwritable-out", "sweep --config {t}/base.json --axis curvature --values 1 --out {t}/blocker/sub", 2,
      "blocker"),
@@ -604,6 +612,14 @@ def _failure_inputs(tmp_path):
     write_config(tmp_path, name="base.json")
     write_config(tmp_path, extra={"lamda": 1.0}, name="unknown.json")
     write_config(tmp_path, extra={"dataset": {"kind": "balanced_tree", "branching": 2}}, name="no-height.json")
+    write_config(tmp_path, extra={"dataset": {"kind": "balanced_tree", "branching": 1, "height": 3}},
+                 name="branching-1.json")
+    write_config(tmp_path, extra={"dataset": {"kind": "sbm", "block_sizes": [5, 5], "p_in": 0.1, "p_out": 0.1}},
+                 name="p-out.json")
+    write_config(tmp_path, extra={"dataset": {**BASE_CONFIG["dataset"], "train_per_class": 0}},
+                 name="train-per-class-0.json")
+    write_config(tmp_path, extra={"dataset": {"kind": "files", "edges": str(tmp_path / "absent-edges.txt"),
+                                              "features": str(tmp_path / "emb.csv")}}, name="absent-files.json")
     write_config(tmp_path, extra={"optimizer": {"learning_rate": 1e160, "steps": 40}}, name="nonfinite.json")
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "blocker").write_text("")  # a file where a directory should go
@@ -624,7 +640,7 @@ def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, c
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and message in line
-    if code == 1:
+    if code == 1 or (code == 2 and command.startswith("train")):
         # refused before anything is written: no output directory, so no resolved_config.json
         assert not (tmp_path / "out").exists()
     if code == 3:

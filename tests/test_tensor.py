@@ -272,16 +272,14 @@ def _tiny_training_config(variant):
     """Six steps on a 15-node binary tree, logging at the last step."""
     from hypergcl.graphnet import AugmentationConfig
     from hypergcl.losses import LossWeights
-    from hypergcl.trainer import DatasetConfig, EncoderConfig, ExperimentConfig, OptimizerConfig
+    from hypergcl.trainer import BalancedTree, EncoderConfig, ExperimentConfig, OptimizerConfig
 
     return ExperimentConfig(
         variant=variant,
         weights=LossWeights(lambda_u=3.0, t=2.0),
         encoder=EncoderConfig(hidden_dim=16, out_dim=8, init_scale=6.0),
         optimizer=OptimizerConfig(learning_rate=1e-2, steps=6),
-        dataset=DatasetConfig(
-            kind="balanced_tree", params={"branching": 2, "height": 3, "feature_noise": 1.0}
-        ),
+        dataset=BalancedTree(2, 3, feature_noise=1.0),
         augment1=AugmentationConfig(0.2, 0.1, seed=1),
         augment2=AugmentationConfig(0.2, 0.1, seed=2),
         seed=0,

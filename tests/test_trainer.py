@@ -5,14 +5,15 @@ import pytest
 from hypergcl.graphnet import AugmentationConfig
 from hypergcl.losses import LossWeights
 from hypergcl.trainer import (
-    DatasetConfig,
+    BalancedTree,
     EncoderConfig,
     ExperimentConfig,
+    Files,
     NonFiniteLossError,
     OptimizerConfig,
+    Sbm,
     build_dataset,
     linear_eval,
-    make_synthetic,
     sweep,
     train,
     write_trace_csv,
@@ -25,9 +26,7 @@ def tree31_config(**overrides):
         weights=LossWeights(lambda_u=3.0, t=2.0),
         encoder=EncoderConfig(hidden_dim=16, out_dim=8, init_scale=6.0),
         optimizer=OptimizerConfig(learning_rate=1e-2, steps=500),
-        dataset=DatasetConfig(
-            kind="balanced_tree", params={"branching": 2, "height": 4, "feature_noise": 1.0}
-        ),
+        dataset=BalancedTree(2, 4, feature_noise=1.0),
         augment1=AugmentationConfig(0.2, 0.1, seed=1),
         augment2=AugmentationConfig(0.2, 0.1, seed=2),
         seed=0,
@@ -40,13 +39,13 @@ def tree31_config(**overrides):
 # ------------------------------------------------------------ synthetic data
 
 def test_balanced_tree_counts():
-    g = make_synthetic("balanced_tree", {"branching": 2, "height": 3}, seed=0)
+    g = build_dataset(BalancedTree(2, 3), seed=0)
     assert g.n == 15
     assert g.num_edges == 14
 
 
 def test_balanced_tree_labels_are_root_subtrees():
-    g = make_synthetic("balanced_tree", {"branching": 3, "height": 3}, seed=0)
+    g = build_dataset(BalancedTree(3, 3), seed=0)
     assert np.array_equal(np.unique(g.labels), [0, 1, 2])
     # the root joins subtree 0; level-1 nodes carry their own subtree index
     assert g.labels[0] == 0
@@ -59,55 +58,58 @@ def test_balanced_tree_labels_are_root_subtrees():
 
 
 def test_balanced_tree_validation():
-    with pytest.raises(ValueError):
-        make_synthetic("balanced_tree", {"branching": 1, "height": 3}, seed=0)
-    with pytest.raises(ValueError):
-        make_synthetic("balanced_tree", {"branching": 2, "height": 1}, seed=0)
-    with pytest.raises(ValueError):
-        make_synthetic("balanced_tree", {"branching": 2, "height": 3, "bogus": 1}, seed=0)
+    with pytest.raises(ValueError, match="branching >= 2 and height >= 2"):
+        BalancedTree(1, 3)
+    with pytest.raises(ValueError, match="branching >= 2 and height >= 2"):
+        BalancedTree(2, 1)
 
 
+@pytest.mark.parametrize("train_per_class", [0, -1])
 @pytest.mark.parametrize(
-    "kind, params, missing",
-    [
-        ("balanced_tree", {"branching": 2}, "height"),
-        ("sbm", {"block_sizes": [5, 5], "p_in": 0.5}, "p_out"),
-        ("files", {"features": "f.csv"}, "edges"),
-    ],
+    "cls, args", [(BalancedTree, (3, 3)), (Sbm, ([10, 10], 0.5, 0.1))], ids=["balanced_tree", "sbm"]
 )
-def test_dataset_missing_key_is_named(kind, params, missing):
-    with pytest.raises(ValueError, match=f"'dataset.{missing}'"):
-        build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
+def test_train_per_class_below_one_refused(cls, args, train_per_class):
+    # -1 would train on all but one node per class, 0 on none
+    with pytest.raises(ValueError, match="train_per_class must be >= 1"):
+        cls(*args, train_per_class=train_per_class)
 
 
 @pytest.mark.parametrize(
-    "kind, params, key",
+    "cls, params, key",
     [
-        ("balanced_tree", {"branching": 2.9, "height": 3}, "branching"),
-        ("balanced_tree", {"branching": "3", "height": 3}, "branching"),
-        ("sbm", {"block_sizes": [5.7, 5], "p_in": 0.5, "p_out": 0.1}, "block_sizes"),
-        ("balanced_tree", {"branching": 2, "height": True}, "height"),
+        (BalancedTree, {"branching": 2.9, "height": 3}, "branching"),
+        (BalancedTree, {"branching": "3", "height": 3}, "branching"),
+        (Sbm, {"block_sizes": [5.7, 5], "p_in": 0.5, "p_out": 0.1}, "block_sizes"),
+        (BalancedTree, {"branching": 2, "height": True}, "height"),
     ],
     ids=["float-int", "string-int", "float-in-int-list", "bool-int"],
 )
-def test_dataset_values_are_type_checked(kind, params, key):
+def test_dataset_values_are_type_checked(cls, params, key):
     # the API refuses what the CLI refuses, instead of truncating 2.9 to 2
     with pytest.raises(ValueError, match=f"config key 'dataset.{key}' must be "):
-        build_dataset(DatasetConfig(kind=kind, params=params), seed=0)
+        cls(**params)
+
+
+def test_dataset_float_fields_are_stored_as_float():
+    spec = Sbm([5, 5], 1, 0, feature_noise=1)
+    assert [type(v) for v in (spec.p_in, spec.p_out, spec.feature_noise)] == [float, float, float]
 
 
 def test_files_dataset_values_are_type_checked():
     # the CLI's check, for API callers: a non-string path is refused by name
     # (a 0 would otherwise be opened as file descriptor 0, stdin)
-    cfg = DatasetConfig(kind="files", params={"edges": 0, "features": "f.csv"})
     with pytest.raises(ValueError, match="config key 'dataset.edges' must be a string"):
-        build_dataset(cfg, seed=0)
+        Files(edges=0, features="f.csv")
+    with pytest.raises(ValueError, match="config key 'dataset.labels' must be a string or null"):
+        Files(edges="e.csv", features="f.csv", labels=1)
 
 
-def test_files_dataset_unknown_key_refused(tmp_path):
-    cfg = DatasetConfig(kind="files", params={"edges": "e.csv", "features": "f.csv", "weights": "w.csv"})
-    with pytest.raises(ValueError, match=r"unknown files params \['weights'\]"):
-        build_dataset(cfg, seed=0)
+def test_files_dataset_unknown_key_refused():
+    from hypergcl.cli import ConfigError, parse_config
+
+    raw = {"dataset": {"kind": "files", "edges": "e.csv", "features": "f.csv", "weights": "w.csv"}}
+    with pytest.raises(ConfigError, match=r"unknown config key 'dataset.weights'"):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +129,7 @@ def test_config_refuses_non_finite_values(field, value, message):
 def test_sbm_expected_cut_edges():
     cuts = []
     for s in range(30):
-        g = make_synthetic("sbm", {"block_sizes": [50, 50], "p_in": 0.2, "p_out": 0.01}, seed=s)
+        g = build_dataset(Sbm([50, 50], 0.2, 0.01), seed=s)
         lab = g.labels
         cuts.append(np.sum(lab[g.edges[:, 0]] != lab[g.edges[:, 1]]))
     # 2500 cross pairs at p_out = 0.01: mean 25, sd ~5; the 30-seed mean is within +-3
@@ -135,19 +137,21 @@ def test_sbm_expected_cut_edges():
 
 
 def test_sbm_validation():
-    with pytest.raises(ValueError):
-        make_synthetic("sbm", {"block_sizes": [10, 10], "p_in": 0.1, "p_out": 0.2}, seed=0)
+    with pytest.raises(ValueError, match="0 <= p_out < p_in <= 1"):
+        Sbm([10, 10], 0.1, 0.2)
+    with pytest.raises(ValueError, match="nonempty positive block sizes"):
+        Sbm([10, 0], 0.5, 0.1)
 
 
 def test_synthetic_determinism():
-    a = make_synthetic("sbm", {"block_sizes": [20, 20], "p_in": 0.3, "p_out": 0.05}, seed=7)
-    b = make_synthetic("sbm", {"block_sizes": [20, 20], "p_in": 0.3, "p_out": 0.05}, seed=7)
+    a = build_dataset(Sbm([20, 20], 0.3, 0.05), seed=7)
+    b = build_dataset(Sbm([20, 20], 0.3, 0.05), seed=7)
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.features, b.features)
 
 
 def test_splits_cover_and_are_disjoint():
-    g = make_synthetic("balanced_tree", {"branching": 3, "height": 4}, seed=0)
+    g = build_dataset(BalancedTree(3, 4), seed=0)
     tr, va, te = g.splits["train"], g.splits["val"], g.splits["test"]
     assert len(tr) == 30  # 10 per class
     all_idx = np.concatenate([tr, va, te])
@@ -197,10 +201,7 @@ def test_loss_windows_non_increasing_at_default_lr():
         weights=LossWeights(lambda_u=3.0, t=2.0),
         encoder=EncoderConfig(hidden_dim=32, out_dim=16, init_scale=6.0),
         optimizer=OptimizerConfig(learning_rate=1e-3, steps=400),
-        dataset=DatasetConfig(
-            kind="sbm",
-            params={"block_sizes": [30, 30], "p_in": 0.2, "p_out": 0.02, "feature_noise": 0.5},
-        ),
+        dataset=Sbm([30, 30], 0.2, 0.02, feature_noise=0.5),
         augment1=AugmentationConfig(0.2, 0.1, seed=1),
         augment2=AugmentationConfig(0.2, 0.1, seed=2),
         seed=0,
@@ -329,7 +330,7 @@ def test_sweep_isotropy_changes_target(tmp_path):
 def test_build_dataset_from_files(tmp_path):
     import json
 
-    g0 = make_synthetic("balanced_tree", {"branching": 2, "height": 3}, seed=0)
+    g0 = build_dataset(BalancedTree(2, 3), seed=0)
     edges = tmp_path / "edges.txt"
     edges.write_text("\n".join(f"{a} {b}" for a, b in g0.edges))
     feats = tmp_path / "features.csv"
@@ -342,16 +343,7 @@ def test_build_dataset_from_files(tmp_path):
     splits = tmp_path / "splits.json"
     splits.write_text(json.dumps({k: v.tolist() for k, v in g0.splits.items()}))
 
-    cfg = DatasetConfig(
-        kind="files",
-        params={
-            "edges": str(edges),
-            "features": str(feats),
-            "labels": str(labels),
-            "splits": str(splits),
-        },
-    )
-    g = build_dataset(cfg, seed=0)
+    g = build_dataset(Files(str(edges), str(feats), str(labels), str(splits)), seed=0)
     assert g.n == g0.n
     assert np.array_equal(g.edges, g0.edges)
     assert np.array_equal(g.features, g0.features)
