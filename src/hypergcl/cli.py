@@ -18,7 +18,9 @@ propagates.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -353,6 +355,7 @@ def cmd_sweep(args) -> int:
     for seed in seeds or ():
         _override(cfg, "--seeds", "seed", seed)
     out_dir = args.out or cfg_out
+    build_dataset(cfg.dataset, cfg.seed)  # a dataset that cannot be read fails before anything is written
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "resolved_config.json"), _resolved_dict(cfg, out_dir))
     try:
@@ -365,7 +368,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_M_TRIM_THRESHOLD = -1  # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Ask glibc's malloc to keep freed step buffers in the process.
+
+    Each training step frees its buffers and the next step allocates the same
+    sizes again.  By default glibc trims the freed top of the heap and
+    page-faults it back on the next step, and it serves the larger buffers
+    with fresh mmaps.  Fixing the mmap threshold at its 64-bit maximum,
+    32 MiB, puts those buffers on the heap; only if glibc accepts that is
+    the trim threshold raised to 1 GiB, since a trim threshold alone stops
+    the mmap threshold from adapting and maps every large buffer afresh.
+    Without glibc's `mallopt` nothing changes.  It runs once per process.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _Parser(
         prog="hypergcl",
         description="Hyperbolic graph contrastive learning: training, diagnostics and density tools.",

@@ -6,6 +6,13 @@ the diagnostics need.  Every op validates that its output is finite
 tape when one is open.  Tapes are per-thread; a training step opens a fresh
 tape, so no graph is retained implicitly between steps.
 
+A tape is swept once.  The sweep pops each node as it runs the node's VJP
+and then drops the node's output gradient, so op outputs, the arrays their
+VJPs hold and intermediate gradients are freed during the sweep rather than
+after it; a second sweep of the same tape raises `ValueError`.  What is left
+is a `Gradients` table that answers for the leaves, the tensors no node on
+the tape produced.
+
 One finiteness rule serves `Tensor(...)` and every op, `_all_finite`: a 0-d
 array is tested with `math.isfinite`, anything larger with one
 `logical_and` reduction over `np.isfinite`.  Neither can overflow or warn,
@@ -142,6 +149,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.swept = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -158,23 +166,30 @@ class Tape:
 
 
 class Gradients:
-    """Gradient lookup keyed by tensor identity; absent leaves read as zero."""
+    """Gradients of the leaves of one sweep; any other tensor reads as zero.
+
+    The table holds every tensor it answers for, so a tensor made after the
+    sweep can never share an `id` with one of them.
+    """
 
     def __init__(self, table: dict):
-        self._table = table
+        self._table = table  # id(t) -> [t, gradient, ...]
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        g = self._table.get(id(t))
-        if g is None:
+        entry = self._table.get(id(t))
+        if entry is None:
             return np.zeros_like(t.data)
-        return np.array(g, dtype=float)
+        return np.array(entry[1], dtype=float)
 
 
 def backward(tape: Tape, output: Tensor) -> Gradients:
     """Reverse sweep over the tape, accumulating gradients across fan-out.
 
     `output` must be a scalar.  Leaves never touched by the computation get
-    zero gradient (via the Gradients lookup).
+    zero gradient (via the Gradients lookup).  The sweep empties the tape:
+    each node is popped before its VJP runs and its output's gradient is
+    dropped after, so only the leaves' gradients remain.  A tape is swept
+    once; a second sweep raises `ValueError`.
 
     A tensor's first gradient is stored as the VJP returned it; such an
     array may be shared (`add` hands the same `g` to both inputs), so it is
@@ -184,28 +199,29 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
     """
     if output.data.shape != ():
         raise ValueError(f"backward requires a scalar output, got shape {output.data.shape}")
-    acc: dict[int, np.ndarray] = {id(output): np.ones(())}
-    owned: set[int] = set()  # keys whose array this sweep allocated
-    for node in reversed(tape.nodes):
-        g = acc.get(id(node.out))
-        if g is None:
+    if tape.swept:
+        raise ValueError("this tape has already been swept; record a fresh one")
+    tape.swept = True
+    nodes = tape.nodes
+    # id(t) -> [t, gradient, whether this sweep allocated the gradient]
+    acc: dict[int, list] = {id(output): [output, np.ones(()), False]}
+    while nodes:
+        node = nodes.pop()
+        entry = acc.pop(id(node.out), None)
+        if entry is None:
             continue
-        parts = node.vjp(g)
-        for inp, gi in zip(node.inputs, parts):
+        for inp, gi in zip(node.inputs, node.vjp(entry[1])):
             if gi is None:
                 continue
-            key = id(inp)
-            prev = acc.get(key)
+            prev = acc.get(id(inp))
             if prev is None:
-                acc[key] = gi
-            elif key in owned:
-                np.add(prev, gi, out=prev)
+                acc[id(inp)] = [inp, gi, False]
+            elif prev[2]:
+                np.add(prev[1], gi, out=prev[1])
             else:
-                total = prev + gi
-                acc[key] = total
+                prev[1] = prev[1] + gi
                 # 0-d sums come back as numpy scalars, which cannot be updated
-                if isinstance(total, np.ndarray):
-                    owned.add(key)
+                prev[2] = isinstance(prev[1], np.ndarray)
     return Gradients(acc)
 
 

@@ -6,6 +6,12 @@ Euclidean encoder parameters (the manifold constraint is enforced by the
 projection head, so no Riemannian optimizer is involved).  Everything is
 seeded: given identical configs, two runs at the same BLAS thread count
 produce bit-identical traces.
+
+Memory is one step deep.  A step's tape and gradient table are locals of
+one call, `_loss_and_gradients`, and the reverse sweep frees the graph as
+it goes, so only the parameter gradients leave the step for the Adam
+update, and no node or gradient of one step's graph is alive while the
+next step records its own.
 """
 from __future__ import annotations
 
@@ -364,6 +370,29 @@ def _tangent_matrix(z: np.ndarray, c: float) -> np.ndarray:
     return geom.log0_rows(Tensor(z), c).data
 
 
+def _loss_and_gradients(cfg: ExperimentConfig, g1: Graph, g2: Graph, params: GcnParams, target_diag):
+    """One step's loss parts as floats and the gradients of `params.all_tensors()`.
+
+    The step's tape and gradient table live only in this frame, so neither
+    outlives the step.
+    """
+    with Tape() as tape:
+        z1 = encode(g1, params, cfg.curvature, cfg.eps)
+        z2 = encode(g2, params, cfg.curvature, cfg.eps)
+        parts = losses.total_loss_parts(
+            z1,
+            z2,
+            cfg.weights,
+            cfg.curvature,
+            cfg.variant,
+            jitter=cfg.jitter,
+            target_mean=cfg.target_mean,
+            target_diag=target_diag,
+        )
+    grads = tape.backward(parts[0])
+    return [float(p) for p in parts], [grads.wrt(t) for t in params.all_tensors()]
+
+
 def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
     """Optimize the selected objective; returns (params, trace).
 
@@ -404,24 +433,10 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
         g1 = augment(graph, replace(cfg.augment1, seed=_derived_seed(cfg.augment1.seed, step)))
         g2 = augment(graph, replace(cfg.augment2, seed=_derived_seed(cfg.augment2.seed, step)))
         try:
-            with Tape() as tape:
-                z1 = encode(g1, params, cfg.curvature, cfg.eps)
-                z2 = encode(g2, params, cfg.curvature, cfg.eps)
-                total, align, second = losses.total_loss_parts(
-                    z1,
-                    z2,
-                    cfg.weights,
-                    cfg.curvature,
-                    cfg.variant,
-                    jitter=cfg.jitter,
-                    target_mean=cfg.target_mean,
-                    target_diag=target_diag,
-                )
-            grads = tape.backward(total)
+            (total, align, second), gs = _loss_and_gradients(cfg, g1, g2, params, target_diag)
         except (NonFiniteError, NotSPDError) as e:
             raise NonFiniteLossError(step, str(e), trace) from e
         tensors = params.all_tensors()
-        gs = [grads.wrt(t) for t in tensors]
         if opt.weight_decay:
             gs[0] = gs[0] + opt.weight_decay * tensors[0].data
             gs[1] = gs[1] + opt.weight_decay * tensors[1].data
@@ -431,7 +446,7 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
         params.slopes = (Tensor(new[2]), Tensor(new[3]))
         if step % cfg.log_every == 0 or step == opt.steps - 1:
             try:
-                log_record(step, float(total), float(align), float(second))
+                log_record(step, total, align, second)
             except (NonFiniteError, NotSPDError) as e:
                 raise NonFiniteLossError(step, str(e), trace) from e
     return params, trace

@@ -603,6 +603,8 @@ FAILURES = [
      "key 'dataset.height'"),
     ("sweep-unwritable-out", "sweep --config {t}/base.json --axis curvature --values 1 --out {t}/blocker/sub", 2,
      "blocker"),
+    ("sweep-absent-dataset-file", "sweep --config {t}/absent-files.json --axis curvature --values 1 --out {t}/out", 2,
+     "absent-edges.txt"),
     ("sweep-nonfinite", "sweep --config {t}/nonfinite.json --axis curvature --values 1 --out {t}/out", 3,
      "non-finite loss at step"),
 ]
@@ -640,7 +642,7 @@ def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, c
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and message in line
-    if code == 1 or (code == 2 and command.startswith("train")):
+    if code == 1 or (code == 2 and command.startswith(("train", "sweep"))):
         # refused before anything is written: no output directory, so no resolved_config.json
         assert not (tmp_path / "out").exists()
     if code == 3:

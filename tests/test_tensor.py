@@ -1,6 +1,7 @@
 """Tape engine: forward semantics, backward correctness, error states."""
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -266,6 +267,48 @@ def test_backward_fanout_never_writes_a_shared_gradient():
     assert np.allclose(grads.wrt(x), 2.0 * s + 9.0 * x0 * x0, atol=1e-12)
     assert finite_diff_check(lambda t: _fanout(t, Tensor(b0)), x0) < 1e-7
     assert finite_diff_check(lambda t: _fanout(Tensor(x0), t), b0) < 1e-7
+
+
+# ------------------------------------------------ one sweep per tape
+
+def test_a_tape_is_swept_once():
+    with Tape() as tape:
+        x = Tensor(np.array([1.0, 2.0]))
+        y = T.sum_all(T.mul(x, x))
+    assert np.array_equal(backward(tape, y).wrt(x), [2.0, 4.0])
+    assert tape.nodes == []
+    with pytest.raises(ValueError, match="already been swept"):
+        backward(tape, y)
+
+
+def test_sweep_frees_op_outputs_and_the_arrays_their_vjps_hold():
+    x0 = np.random.default_rng(5).standard_normal((3, 4))
+    mask = x0 > 0.0
+    with Tape() as tape:
+        x = Tensor(x0)
+        y = T.where(mask, T.smul(x, 2.0), T.neg(x))  # the VJP of `where` holds `mask`
+        loss = T.sum_all(T.mul(y, y))
+    held_by_vjp = weakref.ref(mask)
+    op_output = weakref.ref(y.data)
+    del mask, y
+    grads = backward(tape, loss)
+    assert held_by_vjp() is None
+    assert op_output() is None
+    # d/dx of (2x)^2 and (-x)^2, exact in binary
+    assert np.array_equal(grads.wrt(x), np.where(x0 > 0.0, 8.0 * x0, 2.0 * x0))
+
+
+def test_a_fresh_tensor_never_reads_a_dead_tensors_gradient():
+    x0 = np.arange(1.0, 7.0).reshape(2, 3)
+    for _ in range(200):
+        with Tape() as tape:
+            x = Tensor(x0)
+            loss = T.sum_all(T.mul(x, Tensor(np.ones((2, 3)))))
+        grads = backward(tape, loss)
+        del tape
+        fresh = [Tensor(np.zeros((2, 3))) for _ in range(4)]
+        assert all(np.array_equal(grads.wrt(t), np.zeros((2, 3))) for t in fresh)
+        assert np.array_equal(grads.wrt(x), np.ones((2, 3)))
 
 
 def _tiny_training_config(variant):

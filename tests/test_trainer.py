@@ -1,4 +1,6 @@
 """Training loop, synthetic data, linear evaluation and sweeps."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,35 @@ def test_logging_does_not_perturb_training():
     assert len(t_every.records) == 12 and len(t_final.records) == 2
     for a, b in zip(p_every.all_tensors(), p_final.all_tensors()):
         assert np.array_equal(a.data, b.data)
+
+
+def _peak_traced_bytes(cfg, graph) -> int:
+    tracemalloc.start()
+    try:
+        train(cfg, graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["hypergcl", "hyperbolic-naive-uniformity"])
+def test_training_memory_is_one_step_deep(variant):
+    # A step's tape, gradients and freed buffers must be gone before the next
+    # step starts, so three steps peak no higher than one.  tracemalloc counts
+    # the bytes numpy and Python allocate exactly, so the ratio is the same on
+    # every run.
+    dataset = BalancedTree(3, 4)  # 121 nodes
+    graph = build_dataset(dataset, 0)
+
+    def peak(steps):
+        return _peak_traced_bytes(tree31_config(
+            variant=variant,
+            dataset=dataset,
+            encoder=EncoderConfig(hidden_dim=32, out_dim=16),
+            optimizer=OptimizerConfig(steps=steps),
+        ), graph)
+
+    assert peak(3) <= 1.10 * peak(1)
 
 
 def test_align_only_collapses_and_hypergcl_does_not():
