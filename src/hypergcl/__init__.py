@@ -46,7 +46,6 @@ from .graphnet import AugmentationConfig, GcnParams, Graph, augment, encode, nor
 from .trainer import (
     BalancedTree,
     EncoderConfig,
-    EvalConfig,
     ExperimentConfig,
     Files,
     OptimizerConfig,
@@ -102,7 +101,6 @@ __all__ = [
     "normalize_adjacency",
     "BalancedTree",
     "EncoderConfig",
-    "EvalConfig",
     "ExperimentConfig",
     "Files",
     "OptimizerConfig",

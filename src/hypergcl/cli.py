@@ -38,6 +38,7 @@ from .trainer import (
     NonFiniteLossError,
     SWEEP_AXES,
     build_dataset,
+    check_probe_inputs,
     check_value,
     collapse_diagnostics,
     final_embedding,
@@ -79,7 +80,7 @@ def _curvature(text: str) -> float:
 
 # The JSON "loss" section holds the LossWeights fields and these
 # ExperimentConfig fields; every other section is one config dataclass.
-_LOSS_FIELDS = ("target_mean", "isotropy_degrade_p", "jitter")
+_LOSS_FIELDS = ("target_mean", "isotropy_degrade_p")
 
 
 def _field_types(cls) -> dict:
@@ -259,10 +260,16 @@ def _load_embeddings(path, curvature=None) -> np.ndarray:
     """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: embeddings must be numbers, got {line!r}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(rows[-1])}")
     if not rows:
         raise ValueError(f"{path}: empty embeddings file")
     z = np.asarray(rows, dtype=float)
@@ -355,7 +362,10 @@ def cmd_sweep(args) -> int:
     for seed in seeds or ():
         _override(cfg, "--seeds", "seed", seed)
     out_dir = args.out or cfg_out
-    build_dataset(cfg.dataset, cfg.seed)  # a dataset that cannot be read fails before anything is written
+    # a dataset that cannot be read, or whose labels and splits the probe
+    # cannot use, fails before anything is written or trained
+    graph = build_dataset(cfg.dataset, cfg.seed)
+    check_probe_inputs(graph.labels, graph.splits, graph.n)
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "resolved_config.json"), _resolved_dict(cfg, out_dir))
     try:

@@ -22,6 +22,7 @@ from .tensor import Tensor
 
 __all__ = [
     "ARTANH_CLAMP",
+    "BALL_MARGIN",
     "Curvature",
     "PoincarePoint",
     "TangentVector",
@@ -197,6 +198,11 @@ def distance_rows(p: Tensor, q: Tensor, c: float) -> Tensor:
     return T.smul(_artanh_scaled(T.rownorm(m), sc), 2.0 / sc)
 
 
+# The eps of the eps-margin ball that embeddings are projected into: row
+# norms are capped at (1 - BALL_MARGIN)/sqrt(c).
+BALL_MARGIN = 1e-5
+
+
 def project_rows(z: Tensor, c: float, eps: float) -> Tensor:
     """Project rows into the eps-margin ball: rescale rows beyond (1-eps)/sqrt(c)."""
     if not (0.0 < eps < 1.0):
@@ -266,7 +272,7 @@ def distance(p: PoincarePoint, q: PoincarePoint, c: Curvature) -> float:
     return float(distance_rows(_rows(p), _rows(q), c.c).data[0])
 
 
-def project_to_ball(z, c: Curvature, eps: float = 1e-5) -> PoincarePoint:
+def project_to_ball(z, c: Curvature, eps: float = BALL_MARGIN) -> PoincarePoint:
     """Rescale an ambient vector onto the eps-margin ball if it falls outside.
 
     Identity inside the margin; direction-preserving and idempotent.  A zero

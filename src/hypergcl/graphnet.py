@@ -150,7 +150,7 @@ def encode(
     g: Graph,
     params: GcnParams,
     c: float,
-    eps: float = 1e-5,
+    eps: float = geom.BALL_MARGIN,
     adj: Optional[SparseMatrix] = None,
 ) -> Tensor:
     """Two GCN layers followed by projection into the eps-margin ball.
@@ -166,10 +166,9 @@ def encode(
     return geom.project_rows(z, float(c), eps)
 
 
-def init_params(
-    d_x: int, d_h: int, d_out: int, seed: int, slope: float = 0.25, scale: float = 1.0
-) -> GcnParams:
+def init_params(d_x: int, d_h: int, d_out: int, seed: int, scale: float = 1.0) -> GcnParams:
     """Glorot-uniform weights (optionally rescaled) and 0.25 PReLU slopes."""
+    slope = 0.25
     rng = np.random.default_rng(seed)
 
     def glorot(fan_in, fan_out):
@@ -179,7 +178,7 @@ def init_params(
     return GcnParams(
         theta1=Tensor(glorot(d_x, d_h)),
         theta2=Tensor(glorot(d_h, d_out)),
-        slopes=(Tensor(float(slope)), Tensor(float(slope))),
+        slopes=(Tensor(slope), Tensor(slope)),
     )
 
 
@@ -196,43 +195,68 @@ def load_edge_list(path) -> np.ndarray:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: node ids must be integers, got {line!r}") from None
     return np.asarray(pairs, dtype=int).reshape(-1, 2)
+
+
+def _csv_rows(path, what: str) -> list:
+    """(line number, cells) of each nonempty row of a CSV file after its header row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise ValueError(f"{path}: empty {what} file")
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: no {what} rows")
+    return rows
 
 
 def load_feature_csv(path) -> np.ndarray:
     """CSV with a header row; one node per row, one feature per column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty feature file")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=float)
+    rows = _csv_rows(path, "feature")
+    width = len(rows[0][1])
+    feats = []
+    for lineno, row in rows:
+        try:
+            feats.append([float(cell) for cell in row])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: features must be numbers, got {row!r}") from None
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} features, got {len(row)}")
+    return np.asarray(feats, dtype=float)
 
 
 def load_label_csv(path) -> np.ndarray:
     """Single-column CSV with a header; one integer class id per node."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty label file")
-        vals = [int(row[0]) for row in reader if row]
-    if not vals:
-        raise ValueError(f"{path}: no labels")
-    return np.asarray(vals, dtype=int)
+    labels = []
+    for lineno, row in _csv_rows(path, "label"):
+        try:
+            labels.append(int(row[0]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: labels must be integers, got {row[0]!r}") from None
+    return np.asarray(labels, dtype=int)
 
 
 def load_splits_json(path) -> dict:
-    """JSON object with node-index arrays under keys train/val/test."""
+    """JSON object with a flat list of node indices under each of the keys train/val/test."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object with keys train/val/test, got {obj!r:.40}")
     missing = {"train", "val", "test"} - set(obj)
     if missing:
         raise ValueError(f"{path}: missing split keys {sorted(missing)}")
+    for key in ("train", "val", "test"):
+        idx = obj[key]
+        bad = [v for v in idx if type(v) is not int] if isinstance(idx, list) else [idx]
+        if bad:
+            raise ValueError(f"{path}: split '{key}' must be a list of integers, got {bad[0]!r:.40}")
     return {k: np.asarray(obj[k], dtype=int) for k in ("train", "val", "test")}
 
 

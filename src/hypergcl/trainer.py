@@ -33,7 +33,6 @@ from .linalg import NotSPDError
 __all__ = [
     "OptimizerConfig",
     "EncoderConfig",
-    "EvalConfig",
     "DatasetSpec",
     "BalancedTree",
     "Sbm",
@@ -45,6 +44,7 @@ __all__ = [
     "NonFiniteLossError",
     "Adam",
     "check_value",
+    "check_probe_inputs",
     "build_dataset",
     "train",
     "collapse_diagnostics",
@@ -78,25 +78,18 @@ class NonFiniteLossError(RuntimeError):
 class OptimizerConfig:
     learning_rate: float = 1e-3
     steps: int = 500
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
     hidden_dim: int = 256
     out_dim: int = 64
-    prelu_init: float = 0.25
     init_scale: float = 1.0
 
     def __post_init__(self):
@@ -107,30 +100,16 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    steps: int = 300
-    learning_rate: float = 0.5
-    l2: float = 1e-4
-
-    def __post_init__(self):
-        if self.steps < 1 or self.learning_rate <= 0.0 or self.l2 < 0.0:
-            raise ValueError("invalid linear-eval settings")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     curvature: float = 1.0
-    eps: float = 1e-5
     variant: str = "hypergcl"
     weights: LossWeights = field(default_factory=LossWeights)
     target_mean: float = 0.0
     isotropy_degrade_p: Optional[float] = None
-    jitter: float = spectral.DEFAULT_JITTER
     augment1: AugmentationConfig = field(default_factory=lambda: AugmentationConfig(seed=1))
     augment2: AugmentationConfig = field(default_factory=lambda: AugmentationConfig(seed=2))
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
     log_every: int = 10
     dataset: DatasetSpec = field(default_factory=lambda: BalancedTree(3, 4))
@@ -140,8 +119,6 @@ class ExperimentConfig:
             raise ValueError("curvature must be positive and finite")
         if not math.isfinite(self.target_mean):
             raise ValueError("target_mean must be finite")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
         if self.variant not in losses.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.isotropy_degrade_p is not None and not (0.0 <= self.isotropy_degrade_p <= 1.0):
@@ -177,13 +154,14 @@ class TrainingTrace:
 
 
 class Adam:
-    """Standard Adam with bias correction over a fixed list of arrays."""
+    """Standard Adam with bias correction over a fixed list of arrays, at the usual betas and eps."""
 
-    def __init__(self, shapes, lr: float, beta1: float, beta2: float, eps: float):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, shapes, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -377,15 +355,14 @@ def _loss_and_gradients(cfg: ExperimentConfig, g1: Graph, g2: Graph, params: Gcn
     outlives the step.
     """
     with Tape() as tape:
-        z1 = encode(g1, params, cfg.curvature, cfg.eps)
-        z2 = encode(g2, params, cfg.curvature, cfg.eps)
+        z1 = encode(g1, params, cfg.curvature)
+        z2 = encode(g2, params, cfg.curvature)
         parts = losses.total_loss_parts(
             z1,
             z2,
             cfg.weights,
             cfg.curvature,
             cfg.variant,
-            jitter=cfg.jitter,
             target_mean=cfg.target_mean,
             target_diag=target_diag,
         )
@@ -403,28 +380,15 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
     if graph is None:
         graph = build_dataset(cfg.dataset, cfg.seed)
     d_x = graph.features.shape[1]
-    params = init_params(
-        d_x,
-        cfg.encoder.hidden_dim,
-        cfg.encoder.out_dim,
-        cfg.seed,
-        cfg.encoder.prelu_init,
-        cfg.encoder.init_scale,
-    )
+    params = init_params(d_x, cfg.encoder.hidden_dim, cfg.encoder.out_dim, cfg.seed, cfg.encoder.init_scale)
     opt = cfg.optimizer
-    adam = Adam(
-        [t.data.shape for t in params.all_tensors()],
-        opt.learning_rate,
-        opt.beta1,
-        opt.beta2,
-        opt.adam_eps,
-    )
+    adam = Adam([t.data.shape for t in params.all_tensors()], opt.learning_rate)
     adj_full = normalize_adjacency(graph)
     target_diag = _target_diag(cfg)
     trace = TrainingTrace()
 
     def log_record(step: int, total: float, align: float, second: float):
-        z = encode(graph, params, cfg.curvature, cfg.eps, adj=adj_full).data
+        z = encode(graph, params, cfg.curvature, adj=adj_full).data
         trace.records.append(
             TraceRecord(step, total, align, second, **collapse_diagnostics(z, cfg.curvature))
         )
@@ -436,11 +400,7 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
             (total, align, second), gs = _loss_and_gradients(cfg, g1, g2, params, target_diag)
         except (NonFiniteError, NotSPDError) as e:
             raise NonFiniteLossError(step, str(e), trace) from e
-        tensors = params.all_tensors()
-        if opt.weight_decay:
-            gs[0] = gs[0] + opt.weight_decay * tensors[0].data
-            gs[1] = gs[1] + opt.weight_decay * tensors[1].data
-        new = adam.step([t.data for t in tensors], gs)
+        new = adam.step([t.data for t in params.all_tensors()], gs)
         params.theta1 = Tensor(new[0])
         params.theta2 = Tensor(new[1])
         params.slopes = (Tensor(new[2]), Tensor(new[3]))
@@ -462,7 +422,7 @@ def collapse_diagnostics(z: np.ndarray, c: float) -> dict:
 
 
 def final_embedding(cfg: ExperimentConfig, params: GcnParams, graph: Graph) -> np.ndarray:
-    return encode(graph, params, cfg.curvature, cfg.eps).data
+    return encode(graph, params, cfg.curvature).data
 
 
 # --------------------------------------------------------------- linear eval
@@ -473,27 +433,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def linear_eval(
-    z: np.ndarray,
-    labels: np.ndarray,
-    splits: dict,
-    curvature: Optional[float] = None,
-    cfg: EvalConfig = EvalConfig(),
-) -> float:
-    """Logistic-regression probe on frozen embeddings; returns test accuracy.
+def check_probe_inputs(labels, splits: Optional[dict], n: int) -> tuple:
+    """(labels, train, test) as int arrays for a probe on n embedding rows.
 
-    Hyperbolic embeddings are mapped to the tangent plane by log0 first
-    (pass the curvature); Euclidean embeddings are used as-is.  The probe is
-    multinomial, trained full-batch by gradient descent with an L2 penalty,
-    deterministically from a zero init.
+    Raises ValueError naming the problem when the probe cannot run: no
+    labels or splits, too few labels, a negative label, a split index out
+    of range, an empty train or test split, or a single-class train split.
     """
-    z = np.asarray(z, dtype=float)
     if labels is None:
-        raise ValueError("linear_eval needs labels")
+        raise ValueError("the linear probe needs labels")
     labels = np.asarray(labels, dtype=int)
     if splits is None or any(k not in splits for k in ("train", "test")):
-        raise ValueError("linear_eval needs train/test splits")
-    n = z.shape[0]
+        raise ValueError("the linear probe needs train/test splits")
     if labels.shape[0] < n:
         raise ValueError(f"{labels.shape[0]} labels for {n} embedding rows")
     if labels.min() < 0:
@@ -502,25 +453,38 @@ def linear_eval(
         idx = np.asarray(idx, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"split '{name}' has an index out of range for {n} embedding rows")
-    x = _tangent_matrix(z, float(curvature)) if curvature is not None else z
     tr = np.asarray(splits["train"], dtype=int)
     te = np.asarray(splits["test"], dtype=int)
     if tr.size == 0 or te.size == 0:
-        raise ValueError("train and test splits must be nonempty")
-    classes = np.unique(labels[tr])
-    if classes.size < 2:
+        raise ValueError(f"train and test splits must be nonempty, got {tr.size} train and {te.size} test nodes")
+    if np.unique(labels[tr]).size < 2:
         raise ValueError("train split contains a single class")
+    return labels, tr, te
+
+
+def linear_eval(z: np.ndarray, labels: np.ndarray, splits: dict, curvature: Optional[float] = None) -> float:
+    """Logistic-regression probe on frozen embeddings; returns test accuracy.
+
+    Hyperbolic embeddings are mapped to the tangent plane by log0 first
+    (pass the curvature); Euclidean embeddings are used as-is.  The probe is
+    multinomial, trained deterministically from a zero init by 300 steps of
+    full-batch gradient descent at rate 0.5 with an L2 penalty of 1e-4.
+    """
+    steps, lr, l2 = 300, 0.5, 1e-4
+    z = np.asarray(z, dtype=float)
+    labels, tr, te = check_probe_inputs(labels, splits, z.shape[0])
+    x = _tangent_matrix(z, float(curvature)) if curvature is not None else z
     k = int(labels.max()) + 1
     xt = x[tr]
     onehot = np.eye(k)[labels[tr]]
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
     m = xt.shape[0]
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         p = _softmax(xt @ w + b)
         diff = (p - onehot) / m
-        w -= cfg.learning_rate * (xt.T @ diff + cfg.l2 * w)
-        b -= cfg.learning_rate * diff.sum(axis=0)
+        w -= lr * (xt.T @ diff + l2 * w)
+        b -= lr * diff.sum(axis=0)
     pred = np.argmax(x[te] @ w + b, axis=1)
     return float(np.mean(pred == labels[te]))
 
@@ -552,13 +516,7 @@ def sweep(base: ExperimentConfig, axis: str, values, seeds=None) -> list:
             graph = build_dataset(cfg.dataset, cfg.seed)
             params, trace = train(cfg, graph)
             last = trace.last()
-            acc = linear_eval(
-                final_embedding(cfg, params, graph),
-                graph.labels,
-                graph.splits,
-                curvature=cfg.curvature,
-                cfg=cfg.eval,
-            )
+            acc = linear_eval(final_embedding(cfg, params, graph), graph.labels, graph.splits, curvature=cfg.curvature)
             accs.append(acc)
             eras.append(last.erank_ambient)
             erts.append(last.erank_tangent)

@@ -135,7 +135,7 @@ def geometry_suite(samples: int = 10000, seed: int = 20240501) -> list:
         )
     )
 
-    eps = 1e-5
+    eps = geom.BALL_MARGIN
     cap = (1.0 - eps) / np.sqrt(c)
     big = rng.standard_normal((samples, d)) * 2.0
     proj = geom.project_rows(Tensor(big), c, eps).data

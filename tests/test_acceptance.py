@@ -68,11 +68,11 @@ def bench_runs():
     elapsed = time.time() - t0
     acc_h = linear_eval(
         final_embedding(BENCH, params_h, graph), graph.labels, graph.splits,
-        curvature=BENCH.curvature, cfg=BENCH.eval,
+        curvature=BENCH.curvature,
     )
     acc_a = linear_eval(
         final_embedding(ALIGN_ONLY, params_a, graph), graph.labels, graph.splits,
-        curvature=BENCH.curvature, cfg=BENCH.eval,
+        curvature=BENCH.curvature,
     )
     return {
         "trace_hypergcl": trace_h,

@@ -50,7 +50,7 @@ def test_train_writes_outputs(tmp_path, capsys):
     resolved = json.loads((out / "resolved_config.json").read_text())
     # defaults are echoed even when missing from the input config
     assert resolved["curvature"] == 1.0
-    assert resolved["eps"] == 1e-5
+    assert resolved["loss"]["target_mean"] == 0.0
     assert resolved["augment1"]["edge_drop_prob"] == 0.2
     emb = np.loadtxt(out / "embeddings.csv", delimiter=",")
     assert emb.shape == (15, 8)
@@ -225,8 +225,13 @@ def test_parse_config_accepts_well_typed_values():
     assert cfg.curvature == 2.0 and cfg.isotropy_degrade_p is None and cfg.optimizer.steps == 3
     cfg, _ = cli.parse_config({"loss": {"isotropy_degrade_p": 0.5}})
     assert cfg.isotropy_degrade_p == 0.5
-    for bad in ({"loss": {"jitter": float("inf")}}, {"eps": 10**400}, {"eps": False}):
-        with pytest.raises(cli.ConfigError):
+    # a non-finite number, an integer too large for a float and a bool are refused by the type check
+    for bad, key in (
+        ({"loss": {"target_mean": float("inf")}}, "loss.target_mean"),
+        ({"curvature": 10**400}, "curvature"),
+        ({"curvature": False}, "curvature"),
+    ):
+        with pytest.raises(cli.ConfigError, match=f"config key '{key}' must be a finite number"):
             cli.parse_config(bad)
 
 
@@ -234,21 +239,12 @@ def test_parse_config_accepts_well_typed_values():
 # every default.
 DEFAULTS = {
     "curvature": 1.0,
-    "eps": 1e-5,
     "variant": "hypergcl",
-    "loss": {"lambda_u": 1.0, "t": 2.0, "target_mean": 0.0, "isotropy_degrade_p": None, "jitter": 1e-6},
+    "loss": {"lambda_u": 1.0, "t": 2.0, "target_mean": 0.0, "isotropy_degrade_p": None},
     "augment1": {"edge_drop_prob": 0.2, "node_drop_prob": 0.1, "seed": 1},
     "augment2": {"edge_drop_prob": 0.2, "node_drop_prob": 0.1, "seed": 2},
-    "encoder": {"hidden_dim": 256, "out_dim": 64, "prelu_init": 0.25, "init_scale": 1.0},
-    "optimizer": {
-        "learning_rate": 1e-3,
-        "steps": 500,
-        "weight_decay": 0.0,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-    },
-    "eval": {"steps": 300, "learning_rate": 0.5, "l2": 1e-4},
+    "encoder": {"hidden_dim": 256, "out_dim": 64, "init_scale": 1.0},
+    "optimizer": {"learning_rate": 1e-3, "steps": 500},
     "seed": 0,
     "log_every": 10,
     "dataset": {"kind": "balanced_tree", "branching": 3, "height": 4, "feature_noise": 0.3, "train_per_class": 10},
@@ -258,14 +254,12 @@ DEFAULTS = {
 # Every key set, with integers given for float keys.
 EVERY_KEY_CONFIG = {
     "curvature": 2,
-    "eps": 1e-4,
     "variant": "hyperbolic-naive-uniformity",
-    "loss": {"lambda_u": 2, "t": 3, "target_mean": 1, "isotropy_degrade_p": 1, "jitter": 1e-5},
+    "loss": {"lambda_u": 2, "t": 3, "target_mean": 1, "isotropy_degrade_p": 1},
     "augment1": {"edge_drop_prob": 0, "node_drop_prob": 0.3, "seed": 7},
     "augment2": {"edge_drop_prob": 0.4, "node_drop_prob": 0, "seed": 8},
-    "encoder": {"hidden_dim": 12, "out_dim": 6, "prelu_init": 0, "init_scale": 3},
-    "optimizer": {"learning_rate": 1, "steps": 5, "weight_decay": 1, "beta1": 0, "beta2": 0, "adam_eps": 1},
-    "eval": {"steps": 10, "learning_rate": 1, "l2": 0},
+    "encoder": {"hidden_dim": 12, "out_dim": 6, "init_scale": 3},
+    "optimizer": {"learning_rate": 1, "steps": 5},
     "seed": 4,
     "log_every": 2,
     "dataset": {"kind": "balanced_tree", "branching": 2, "height": 2, "feature_noise": 1, "train_per_class": 2},
@@ -283,6 +277,24 @@ def test_resolved_defaults_golden():
     # an empty section takes the same defaults, augment1/augment2 seeds included
     sections = {k: {} for k, v in DEFAULTS.items() if isinstance(v, dict) and k != "dataset"}
     assert _canonical(cli._resolved_dict(*cli.parse_config(sections))) == _canonical(DEFAULTS)
+
+
+def _readme_defaults() -> dict:
+    """The README's config-defaults block, `section: key value, …` lines, as a resolved-config dict."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config keys and defaults", 1)[1].split("```", 2)[1]
+    out = {}
+    for line in block.strip().splitlines():
+        section, colon, items = line.partition(":")
+        target = out.setdefault(section, {}) if colon else out
+        for item in (items if colon else line).split(","):
+            key, value = item.split(maxsplit=1)
+            target[key] = json.loads(value)
+    return out
+
+
+def test_readme_defaults_block_names_exactly_the_resolved_defaults():
+    assert _canonical(_readme_defaults()) == _canonical(cli._resolved_dict(*cli.parse_config({})))
 
 
 @pytest.mark.parametrize(
@@ -338,6 +350,41 @@ def test_every_key_rejects_a_mistyped_value(tmp_path, capsys, path, default):
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"config key '{path}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+# Values that are constants in code, not config keys: the ball margin, the
+# isotropy jitter, the PReLU init, Adam's settings, weight decay and the
+# probe's schedule.  A config that sets one, even to the constant's own
+# value, is refused by name.
+REMOVED_KEYS = {
+    "eps": 1e-5,
+    "loss.jitter": 1e-6,
+    "encoder.prelu_init": 0.25,
+    "optimizer.weight_decay": 0.0,
+    "optimizer.beta1": 0.9,
+    "optimizer.beta2": 0.999,
+    "optimizer.adam_eps": 1e-8,
+    "eval.steps": 300,
+    "eval.learning_rate": 0.5,
+    "eval.l2": 1e-4,
+}
+
+
+@pytest.mark.parametrize("path, value", REMOVED_KEYS.items(), ids=list(REMOVED_KEYS))
+def test_removed_key_is_refused_by_name(tmp_path, capsys, path, value):
+    section, _, key = path.rpartition(".")
+    raw = copy.deepcopy(BASE_CONFIG)
+    if section:
+        raw.setdefault(section, {})[key] = value
+    else:
+        raw[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    # the whole eval section is gone, so it is named as the unknown key
+    named = "eval" if section == "eval" else path
+    assert capsys.readouterr().err == f"error: unknown config key '{named}'\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -607,6 +654,30 @@ FAILURES = [
      "absent-edges.txt"),
     ("sweep-nonfinite", "sweep --config {t}/nonfinite.json --axis curvature --values 1 --out {t}/out", 3,
      "non-finite loss at step"),
+    # BalancedTree(2, 2) at the default train_per_class 10: all 7 nodes train, so the probe cannot run
+    ("sweep-empty-test-split", "sweep --config {t}/tree-2-2.json --axis curvature --values 1 --out {t}/out", 2,
+     "train and test splits must be nonempty, got 7 train and 0 test nodes"),
+    # a malformed dataset file names itself, and the line for edge lists and CSVs
+    *[(f"train-files-{name}", f"train --config {{t}}/files-{name}.json --out {{t}}/out", 2, problem)
+      for name, problem in (("edge-not-int", "e-bad.txt:2: node ids must be integers, got '1 x'"),
+                            ("feature-not-number", "x-bad.csv:3: features must be numbers, got ['0.3', 'abc']"),
+                            ("features-ragged", "x-ragged.csv:3: expected 2 features, got 1"),
+                            ("label-not-int", "y-bad.csv:3: labels must be integers, got '1.5'"),
+                            ("splits-not-object", "s-5.json: expected a JSON object with keys train/val/test"))],
+    ("eval-label-not-int", "eval --embeddings {t}/emb.csv --labels {t}/y-bad.csv --splits {t}/s.json", 2,
+     "y-bad.csv:3: labels must be integers, got '1.5'"),
+    *[(f"eval-splits-{name}", f"eval --embeddings {{t}}/emb.csv --labels {{t}}/y4.csv --splits {{t}}/s-{name}.json",
+       2, f"s-{name}.json: {problem}")
+      for name, problem in (("5", "expected a JSON object with keys train/val/test, got 5"),
+                            ("null", "expected a JSON object with keys train/val/test, got None"),
+                            ("object", "split 'train' must be a list of integers, got {'a': 1}"),
+                            ("nested", "split 'test' must be a list of integers, got [3]"),
+                            ("float", "split 'test' must be a list of integers, got 2.0"),
+                            ("broken", "not valid JSON"))],
+    ("eval-embedding-not-number", "eval --embeddings {t}/emb-bad.csv --labels {t}/y4.csv --splits {t}/s.json", 2,
+     "emb-bad.csv:2: embeddings must be numbers, got '0.1,x'"),
+    ("diagnose-embeddings-ragged", "diagnose --embeddings {t}/emb-ragged.csv", 2,
+     "emb-ragged.csv:2: expected 2 columns, got 1"),
 ]
 
 
@@ -632,6 +703,28 @@ def _failure_inputs(tmp_path):
     (tmp_path / "y.csv").write_text("label\n0\n1\n")
     (tmp_path / "y4.csv").write_text("label\n0\n1\n0\n1\n")
     (tmp_path / "s.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 3]}))
+    write_config(tmp_path, extra={"dataset": {"kind": "balanced_tree", "branching": 2, "height": 2}},
+                 name="tree-2-2.json")
+    (tmp_path / "e4.txt").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "x4.csv").write_text("a,b\n0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
+    (tmp_path / "e-bad.txt").write_text("0 1\n1 x\n")
+    (tmp_path / "x-bad.csv").write_text("a,b\n0.1,0.2\n0.3,abc\n")
+    (tmp_path / "x-ragged.csv").write_text("a,b\n0.1,0.2\n0.3\n")
+    (tmp_path / "y-bad.csv").write_text("label\n0\n1.5\n0\n1\n")
+    (tmp_path / "s-5.json").write_text("5")
+    (tmp_path / "s-null.json").write_text("null")
+    (tmp_path / "s-object.json").write_text(json.dumps({"train": {"a": 1}, "val": [], "test": [2, 3]}))
+    (tmp_path / "s-nested.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [[3]]}))
+    (tmp_path / "s-float.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2.0, 3]}))
+    (tmp_path / "s-broken.json").write_text("{")
+    (tmp_path / "emb-bad.csv").write_text("0.2,0.1\n0.1,x\n")
+    (tmp_path / "emb-ragged.csv").write_text("0.2,0.1\n0.1\n")
+    files = {"edges": "e4.txt", "features": "x4.csv", "labels": "y4.csv", "splits": "s.json"}
+    for name, bad in (("edge-not-int", {"edges": "e-bad.txt"}), ("feature-not-number", {"features": "x-bad.csv"}),
+                      ("features-ragged", {"features": "x-ragged.csv"}), ("label-not-int", {"labels": "y-bad.csv"}),
+                      ("splits-not-object", {"splits": "s-5.json"})):
+        paths = {k: str(tmp_path / v) for k, v in {**files, **bad}.items()}
+        write_config(tmp_path, extra={"dataset": {"kind": "files", **paths}}, name=f"files-{name}.json")
 
 
 @pytest.mark.parametrize("command, code, message", [f[1:] for f in FAILURES], ids=[f[0] for f in FAILURES])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypergcl import geometry as geom
 from hypergcl.graphnet import AugmentationConfig
 from hypergcl.losses import LossWeights
 from hypergcl.trainer import (
@@ -252,7 +253,7 @@ def test_naive_uniformity_pushes_mean_norm_to_margin():
         optimizer=OptimizerConfig(learning_rate=1e-2, steps=400),
     )
     _, trace = train(cfg)
-    cap = (1.0 - cfg.eps) / np.sqrt(cfg.curvature)
+    cap = (1.0 - geom.BALL_MARGIN) / np.sqrt(cfg.curvature)
     assert trace.last().mean_norm > 0.99 * cap
 
 
@@ -270,7 +271,7 @@ def test_strong_naive_uniformity_pushes_every_seed_from_inside_to_margin(seed):
         seed=seed,
     )
     _, trace = train(cfg)
-    cap = (1.0 - cfg.eps) / np.sqrt(cfg.curvature)
+    cap = (1.0 - geom.BALL_MARGIN) / np.sqrt(cfg.curvature)
     assert trace.records[0].mean_norm < 0.9 * cap
     assert trace.last().mean_norm > 0.99 * cap
 
