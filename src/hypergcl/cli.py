@@ -30,7 +30,7 @@ import numpy as np
 
 from . import density
 from .geometry import Curvature
-from .graphnet import load_label_csv, load_splits_json
+from .graphnet import load_label_csv, load_splits_json, open_text
 from .trainer import (
     DATASET_KINDS,
     DatasetSpec,
@@ -259,7 +259,7 @@ def _load_embeddings(path, curvature=None) -> np.ndarray:
     value without any error, so such a file is refused here.
     """
     rows = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

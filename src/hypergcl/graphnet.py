@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,8 +57,12 @@ class Graph:
         keep = raw[:, 0] != raw[:, 1]
         lo = np.minimum(raw[keep, 0], raw[keep, 1])
         hi = np.maximum(raw[keep, 0], raw[keep, 1])
-        # lo * n + hi sorts the pairs lexicographically by (lo, hi)
-        keys = np.unique(lo * self.n + hi)
+        # lo * n + hi sorts the pairs lexicographically by (lo, hi); sorted,
+        # a key is new where it differs from its predecessor
+        keys = np.sort(lo * self.n + hi)
+        fresh = np.ones(keys.shape, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
         edges = np.column_stack([keys // self.n, keys % self.n])
         labels = self.labels
         if labels is not None:
@@ -143,7 +148,24 @@ def augment(g: Graph, cfg: AugmentationConfig) -> Graph:
         if edges.shape[0]:
             alive = ~(dropped[edges[:, 0]] | dropped[edges[:, 1]])
             edges = edges[alive]
-    return Graph(g.n, edges, features, labels=g.labels, splits=g.splits)
+    return _view(g, edges, features)
+
+
+def _view(g: Graph, edges: np.ndarray, features: np.ndarray) -> Graph:
+    """The Graph `Graph(g.n, edges, features, g.labels, g.splits)` would give, unchecked.
+
+    Trusted inputs only: `edges` is a row subset of `g.edges` in its order
+    (so still canonical) and `features` a float copy of `g.features` with
+    some rows zeroed (so still finite).  Labels and splits are `g`'s own,
+    already validated.  Skipping `__post_init__` saves re-validating and
+    re-sorting the edges of every augmented view.
+    """
+    edges.setflags(write=False)
+    features.setflags(write=False)
+    view = object.__new__(Graph)
+    splits = None if g.splits is None else dict(g.splits)
+    view.__dict__.update(n=g.n, edges=edges, features=features, labels=g.labels, splits=splits)
+    return view
 
 
 def encode(
@@ -184,10 +206,20 @@ def init_params(d_x: int, d_h: int, d_out: int, seed: int, scale: float = 1.0) -
 
 # ------------------------------------------------------------------ file I/O
 
+@contextmanager
+def open_text(path, newline=None):
+    """`path` opened as UTF-8 text; a byte that does not decode raises ValueError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text (byte 0x{e.object[e.start]:02x}: {e.reason})") from None
+
+
 def load_edge_list(path) -> np.ndarray:
     """Whitespace-separated `src dst` lines -> (E, 2) int array."""
     pairs = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -204,7 +236,7 @@ def load_edge_list(path) -> np.ndarray:
 
 def _csv_rows(path, what: str) -> list:
     """(line number, cells) of each nonempty row of a CSV file after its header row."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError(f"{path}: empty {what} file")
@@ -261,8 +293,18 @@ def load_splits_json(path) -> dict:
 
 
 def load_graph(edges_path, features_path, labels_path=None, splits_path=None) -> Graph:
+    """The graph of a set of dataset files; files that disagree are refused naming both."""
     features = load_feature_csv(features_path)
+    n = features.shape[0]
     edges = load_edge_list(edges_path)
+    outside = edges[(edges < 0) | (edges >= n)]
+    if outside.size:
+        raise ValueError(f"{edges_path}: node {outside[0]} is not one of the {n} rows of {features_path}")
     labels = load_label_csv(labels_path) if labels_path else None
+    if labels is not None and labels.shape[0] != n:
+        raise ValueError(f"{labels_path}: {labels.shape[0]} labels for the {n} rows of {features_path}")
     splits = load_splits_json(splits_path) if splits_path else None
-    return Graph(features.shape[0], edges, features, labels=labels, splits=splits)
+    for key, idx in (splits or {}).items():
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"{splits_path}: split '{key}' names a node outside the {n} rows of {features_path}")
+    return Graph(n, edges, features, labels=labels, splits=splits)

@@ -6,6 +6,15 @@ change with the LAPACK build.  `cholesky` is also the one SPD test for
 density specs and covariance summaries.  `jacobi_svd_values` is kept as the
 perfbench span `linalg.jacobi_svd_values` (beside `linalg.cholesky` and
 `linalg.spd_inverse`).  Other callers use ``np.linalg`` directly.
+
+At the size training uses (d = 16) a loop iteration costs more in numpy's
+per-call overhead than in arithmetic, so each row or column update runs in
+place: one ``.dot`` (the method skips `np.dot`'s dispatch) subtracted into
+the output row or column, then one in-place divide by a pivot read once as
+a Python float, with no temporary built per row.  The rounding is that of
+the plain ``(b - A @ x) / d`` (the same BLAS dot and gemv calls), so the
+outputs keep every bit; tests/test_linalg.py pins that against the plain
+form.
 """
 from __future__ import annotations
 
@@ -31,15 +40,18 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"cholesky expects a square matrix, got shape {a.shape}")
     n = a.shape[0]
     L = np.zeros((n, n))
+    diag = a.diagonal().tolist()
     for j in range(n):
         lj = L[j, :j]
-        s = float(a[j, j] - lj @ lj)
+        s = diag[j] - float(lj.dot(lj))
         if not 0.0 < s < math.inf:  # also catches NaN
             raise NotSPDError(f"Cholesky pivot {j} = {s:.6e}; matrix is not SPD")
         d = math.sqrt(s)
         L[j, j] = d
         if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ lj) / d
+            col = L[j + 1 :, j]
+            np.subtract(a[j + 1 :, j], L[j + 1 :, :j].dot(lj), out=col)
+            col /= d
     return L
 
 
@@ -52,11 +64,16 @@ def spd_inverse(L: np.ndarray) -> np.ndarray:
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
+    piv = L.diagonal().tolist()
     x = np.eye(n)
     for i in range(n):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+        xi = x[i]
+        xi -= L[i, :i].dot(x[:i])
+        xi /= piv[i]
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
+        xi = x[i]
+        xi -= L[i + 1 :, i].dot(x[i + 1 :])
+        xi /= piv[i]
     return (x + x.T) / 2.0
 
 

@@ -515,10 +515,14 @@ def _pair_delta(z: np.ndarray) -> np.ndarray:
 
     Rows that are equal get Delta exactly 0 (the diagonal always does):
     the Gram form cancels for them, and rounding would leave a few ulp of
-    s behind.  G comes from `einsum`, not BLAS: OpenBLAS's `z @ z.T`
-    changes bits with its thread count even at this small inner dimension,
-    while `einsum` sums every entry in one fixed order.  Delta is built in
-    G's buffer, so Delta_ij and Delta_ji may differ in the last bit.
+    s behind.  Finite rows are equal exactly when their bytes are, once
+    -0.0 is made +0.0, so one sort of the rows as byte strings finds them;
+    rows pinned at the ball's cap all share a few values of s, so s cannot
+    narrow the search.  G comes from `einsum`, not BLAS: OpenBLAS's
+    `z @ z.T` changes bits with its thread count even at this small inner
+    dimension, while `einsum` sums every entry in one fixed order.  Delta
+    is built in G's buffer, so Delta_ij and Delta_ji may differ in the
+    last bit.
     """
     s = np.add.reduce(z * z, axis=1)
     delta = np.einsum("ik,jk->ij", z, z)
@@ -526,8 +530,14 @@ def _pair_delta(z: np.ndarray) -> np.ndarray:
     delta += s[:, None]
     delta += s
     np.maximum(delta, 0.0, out=delta)
-    labels = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
-    delta[labels[:, None] == labels] = 0.0
+    np.fill_diagonal(delta, 0.0)
+    rows = np.ascontiguousarray(z + 0.0)  # x + 0.0 is x, except that -0.0 becomes +0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, label, count = np.unique(keys, return_inverse=True, return_counts=True)
+    dup = np.flatnonzero(count[label] > 1)
+    if dup.size:
+        i, j = np.nonzero(label[dup, None] == label[dup])
+        delta[dup[i], dup[j]] = 0.0
     return delta
 
 

@@ -286,7 +286,7 @@ DATASET_KINDS = {"balanced_tree": BalancedTree, "sbm": Sbm, "files": Files}
 def _make_splits(labels: np.ndarray, train_per_class: int, rng) -> dict:
     train = []
     rest = []
-    for cls in np.unique(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):  # the classes present, ascending
         idx = np.where(labels == cls)[0]
         idx = rng.permutation(idx)
         train.extend(idx[:train_per_class])

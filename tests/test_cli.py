@@ -434,6 +434,21 @@ def test_python_m_runs_the_cli(tmp_path, module):
     assert proc.stderr.startswith("error: ")
 
 
+def test_train_does_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma (numpy 2.4), which training has no use for
+    cfg = write_config(tmp_path, extra={"optimizer": {"learning_rate": 0.01, "steps": 2}})
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys; from hypergcl import cli; print(cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "train", "--config", cfg, "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 @pytest.mark.parametrize(
     "labels, splits, problem",
     [
@@ -581,7 +596,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 # ------------------------------------------------------------ failure contract
 
-# (id, command line, exit code, part of the one `error:` line); {t} is the test's directory
+# (id, command line, exit code, part of the one `error:` line); {t} is the test's directory in either
 FAILURES = [
     ("train-absent-config", "train --config {t}/absent.json --out {t}/out", 1, "cannot read config file"),
     ("train-broken-config", "train --config {t}/broken.json --out {t}/out", 1, "config is not valid JSON"),
@@ -663,7 +678,20 @@ FAILURES = [
                             ("feature-not-number", "x-bad.csv:3: features must be numbers, got ['0.3', 'abc']"),
                             ("features-ragged", "x-ragged.csv:3: expected 2 features, got 1"),
                             ("label-not-int", "y-bad.csv:3: labels must be integers, got '1.5'"),
-                            ("splits-not-object", "s-5.json: expected a JSON object with keys train/val/test"))],
+                            ("splits-not-object", "s-5.json: expected a JSON object with keys train/val/test"),
+                            ("features-not-utf8", "x-utf16.csv: not UTF-8 text (byte 0xff: invalid start byte)"),
+                            ("edges-not-utf8", "e-utf16.txt: not UTF-8 text (byte 0xff: invalid start byte)"),
+                            ("labels-not-utf8", "y-utf16.csv: not UTF-8 text (byte 0xff: invalid start byte)"))],
+    # files that disagree with each other name both
+    *[(f"train-files-{name}", f"train --config {{t}}/files-{name}.json --out {{t}}/out", 2, problem)
+      for name, problem in (("edge-beyond-features", "e-far.txt: node 9 is not one of the 4 rows of {t}/x4.csv"),
+                            ("edge-negative", "e-negative.txt: node -1 is not one of the 4 rows of {t}/x4.csv"),
+                            ("labels-short", "y.csv: 2 labels for the 4 rows of {t}/x4.csv"),
+                            ("split-beyond-features",
+                             "s-far.json: split 'test' names a node outside the 4 rows of {t}/x4.csv"))],
+    *[(f"{cmd}-embeddings-not-utf8", f"{cmd} --embeddings {{t}}/emb-utf16.csv{extra}", 2,
+       "emb-utf16.csv: not UTF-8 text (byte 0xff: invalid start byte)")
+      for cmd, extra in (("eval", " --labels {t}/y4.csv --splits {t}/s.json"), ("diagnose", ""))],
     ("eval-label-not-int", "eval --embeddings {t}/emb.csv --labels {t}/y-bad.csv --splits {t}/s.json", 2,
      "y-bad.csv:3: labels must be integers, got '1.5'"),
     *[(f"eval-splits-{name}", f"eval --embeddings {{t}}/emb.csv --labels {{t}}/y4.csv --splits {{t}}/s-{name}.json",
@@ -719,10 +747,19 @@ def _failure_inputs(tmp_path):
     (tmp_path / "s-broken.json").write_text("{")
     (tmp_path / "emb-bad.csv").write_text("0.2,0.1\n0.1,x\n")
     (tmp_path / "emb-ragged.csv").write_text("0.2,0.1\n0.1\n")
+    for name, text in (("x-utf16.csv", "a,b\n0.1,0.2\n"), ("e-utf16.txt", "0 1\n"), ("y-utf16.csv", "label\n0\n"),
+                       ("emb-utf16.csv", "0.1,0.2\n")):
+        (tmp_path / name).write_bytes(text.encode("utf-16"))  # starts with the bytes ff fe
+    (tmp_path / "e-far.txt").write_text("0 1\n1 9\n")
+    (tmp_path / "e-negative.txt").write_text("0 1\n-1 2\n")
+    (tmp_path / "s-far.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 7]}))
     files = {"edges": "e4.txt", "features": "x4.csv", "labels": "y4.csv", "splits": "s.json"}
     for name, bad in (("edge-not-int", {"edges": "e-bad.txt"}), ("feature-not-number", {"features": "x-bad.csv"}),
                       ("features-ragged", {"features": "x-ragged.csv"}), ("label-not-int", {"labels": "y-bad.csv"}),
-                      ("splits-not-object", {"splits": "s-5.json"})):
+                      ("splits-not-object", {"splits": "s-5.json"}), ("features-not-utf8", {"features": "x-utf16.csv"}),
+                      ("edges-not-utf8", {"edges": "e-utf16.txt"}), ("labels-not-utf8", {"labels": "y-utf16.csv"}),
+                      ("edge-beyond-features", {"edges": "e-far.txt"}), ("edge-negative", {"edges": "e-negative.txt"}),
+                      ("labels-short", {"labels": "y.csv"}), ("split-beyond-features", {"splits": "s-far.json"})):
         paths = {k: str(tmp_path / v) for k, v in {**files, **bad}.items()}
         write_config(tmp_path, extra={"dataset": {"kind": "files", **paths}}, name=f"files-{name}.json")
 
@@ -734,7 +771,7 @@ def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert "Traceback" not in err
     [line] = err.splitlines()
-    assert line.startswith("error: ") and message in line
+    assert line.startswith("error: ") and message.replace("{t}", str(tmp_path)) in line
     if code == 1 or (code == 2 and command.startswith(("train", "sweep"))):
         # refused before anything is written: no output directory, so no resolved_config.json
         assert not (tmp_path / "out").exists()

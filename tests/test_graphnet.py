@@ -123,6 +123,33 @@ def test_augment_node_drop_zeroes_rows_and_edges():
     )
 
 
+@pytest.mark.parametrize(
+    "edge_p, node_p, seed",
+    [(0.0, 0.0, 1), (0.2, 0.2, 2), (0.95, 0.95, 4), (0.2, 0.95, 3)],
+    ids=["nothing-dropped", "default-rates", "most-dropped", "every-node-dropped"],
+)
+def test_augment_view_is_the_graph_the_checked_constructor_builds(edge_p, node_p, seed):
+    rng = np.random.default_rng(9)
+    base = small_graph(rng, n=30)
+    labels = rng.integers(0, 3, size=30)
+    g = Graph(30, base.edges, base.features, labels=labels, splits={"train": [0, 4], "val": [5], "test": [29]})
+    view = augment(g, AugmentationConfig(edge_p, node_p, seed=seed))
+    ref = Graph(g.n, view.edges, view.features, labels=g.labels, splits=g.splits)
+    assert type(view) is Graph and view.n == ref.n
+    for name in ("edges", "features"):
+        got, want = getattr(view, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable and got.flags.c_contiguous
+    assert view.labels is ref.labels
+    assert view.splits.keys() == ref.splits.keys() and view.splits is not g.splits
+    assert all(view.splits[k] is ref.splits[k] for k in ref.splits)
+    bare = augment(base, AugmentationConfig(edge_p, node_p, seed=seed))
+    assert bare.labels is None and bare.splits is None
+    assert not np.shares_memory(view.features, g.features)
+    if seed == 3:
+        assert np.all(view.features == 0.0) and view.num_edges == 0
+
+
 def test_augment_config_validation():
     with pytest.raises(ValueError):
         AugmentationConfig(edge_drop_prob=1.0)

@@ -609,6 +609,56 @@ def test_pair_ops_equal_rows_are_exactly_zero_and_pass_no_gradient(op):
     assert np.all(tape.backward(loss).wrt(x) == 0.0)
 
 
+def _pair_delta_by_label_mask(z):
+    """Reference: Delta with every equal-row pair found by one n x n label mask."""
+    s = np.add.reduce(z * z, axis=1)
+    delta = np.einsum("ik,jk->ij", z, z)
+    delta *= -2.0
+    delta += s[:, None]
+    delta += s
+    np.maximum(delta, 0.0, out=delta)
+    labels = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
+    delta[labels[:, None] == labels] = 0.0
+    return delta
+
+
+def _pair_batches():
+    rng = np.random.default_rng(41)
+    rows = rng.standard_normal((6, 16)) * 0.2
+    dup = rows[rng.integers(0, 6, size=40)]  # every row repeated
+    # rows equal up to the sign of a zero are equal rows; for some of these 20
+    # pairs the Gram form leaves an ulp or two behind
+    signed = rng.standard_normal((20, 16)) * 0.2
+    signed[:, 3] = 0.0
+    signed = np.vstack([signed, signed, np.zeros((1, 16)), np.full((1, 16), -0.0)])
+    signed[20:40, 3] = -0.0
+    dropped = rng.standard_normal((121, 16)) * 0.3
+    dropped[rng.random(121) < 0.1] = 0.0  # node dropping leaves zero rows
+    perm = rng.permutation(np.tile(rng.standard_normal((2, 4)), (3, 1)))
+    # rows pinned at the cap share a handful of squared norms; some are dropped (zero)
+    capped = _unit_rows(rng, 60, 16) * (1.0 - 1e-5)
+    capped[rng.random(60) < 0.2] = 0.0
+    # distinct rows with one shared squared norm: permuted coordinates
+    same_s = np.array([[0.3, 0.4, 0.0], [0.4, 0.3, 0.0], [0.0, 0.3, 0.4], [0.3, 0.4, 0.0]])
+    return {
+        "duplicates": dup,
+        "signed-zeros": signed,
+        "all-equal": np.tile(rows[:1], (7, 1)),
+        "no-duplicates": rng.standard_normal((50, 8)),
+        "dropped-nodes": dropped,
+        "permuted-duplicates": perm,
+        "at-the-cap": capped,
+        "shared-norm-distinct-rows": same_s,
+        "one-row": rows[:1],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pair_batches()))
+def test_pair_delta_keeps_the_label_mask_forms_bits(name):
+    z = _pair_batches()[name]
+    assert _same_bits(T._pair_delta(z), _pair_delta_by_label_mask(z))
+
+
 @pytest.mark.parametrize(
     "z,c",
     [
