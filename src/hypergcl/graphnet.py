@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -253,9 +254,12 @@ def load_feature_csv(path) -> np.ndarray:
     feats = []
     for lineno, row in rows:
         try:
-            feats.append([float(cell) for cell in row])
+            vals = [float(cell) for cell in row]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: features must be numbers, got {row!r}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}:{lineno}: features must be finite numbers, got {row!r}")
+        feats.append(vals)
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} features, got {len(row)}")
     return np.asarray(feats, dtype=float)

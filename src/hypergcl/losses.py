@@ -14,7 +14,8 @@ accompanies the alignment term, covering the whole ablation family:
 Both uniformities take every pair from one all-pairs op on the Gram matrix
 (`T.ball_pair_distances`, `T.pair_sqdist`), drop the diagonal with one
 cached `take_rows` index in i-major pair order, and share one
-log-mean-exp tail.
+log-mean-exp tail, the single taped op `T.log_mean_exp`, which keeps only
+exp(-t x) for its gradient.
 """
 from __future__ import annotations
 
@@ -117,8 +118,7 @@ def _ordered_pair_indices(n: int) -> np.ndarray:
 
 def _log_mean_exp_pairs(pairs: Tensor, n: int, t: float) -> Tensor:
     """log E[exp(-t x)] over the ordered pairs i != j of an (n*n, 1) all-pairs column."""
-    x = T.take_rows(pairs, _ordered_pair_indices(n))
-    return T.log(T.mean_all(T.exp(T.smul(x, -float(t)))))
+    return T.log_mean_exp(T.take_rows(pairs, _ordered_pair_indices(n)), -float(t))
 
 
 def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:

@@ -25,6 +25,12 @@ batch and return an (n*n, 1) column whose row i*n + j holds the value for
 the ordered pair (i, j).  Both are built from one Gram matrix G = Z Z^T as
 Delta_ij = max(||z_i||^2 + ||z_j||^2 - 2 G_ij, 0), with Delta exactly 0
 for equal rows, and share one VJP for Delta; a pair at 0 passes no gradient.
+Each keeps one n x n array for its VJP besides its output: `pair_sqdist`
+the boolean mask Delta > 0, `ball_pair_distances` w = 2c Delta / (a_i a_j)
+(built in Delta's buffer); the latter's VJP recomputes a_i a_j and
+sqrt(w (w + 2)) with the forward's own calls.  `log_mean_exp`, the
+log E exp(k x) tail of the uniformities, is one node that keeps only
+exp(k x).
 
 Shapes are restricted to scalars (), vectors (n,) and matrices (n, m);
 broadcasting is limited to the explicit row-wise ops (`rowscale`,
@@ -296,18 +302,6 @@ def artanh(a: Tensor) -> Tensor:
     return _record("artanh", np.arctanh(a.data), (a,), lambda g: (g / (1.0 - a.data * a.data),))
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    return _record("exp", y, (a,), lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log argument must be positive")
-    return _record("log", np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def vrecip(a: Tensor) -> Tensor:
     y = 1.0 / a.data
     return _record("vrecip", y, (a,), lambda g: (-g * y * y,))
@@ -368,6 +362,28 @@ def mean_all(a: Tensor) -> Tensor:
         (a,),
         lambda g: (np.full(shape, float(g) / n),),
     )
+
+
+def log_mean_exp(a: Tensor, k: float) -> Tensor:
+    """log(mean(exp(k a))) over every entry, as one node that keeps only exp(k a).
+
+    The gradient is exp(k a) * (g / mean / size), then times k.  The order
+    of these roundings is part of the uniformities' training bits.
+    """
+    k = float(k)
+    with np.errstate(over="ignore"):
+        y = np.exp(a.data * k)
+    n = y.size
+    m = np.add.reduce(y, axis=None) / n
+    if m <= 0.0:
+        raise ValueError("log_mean_exp: exp(k a) underflows to 0 everywhere")
+
+    def vjp(g):
+        gy = y * (float(g / m) / n)
+        gy *= k
+        return (gy,)
+
+    return _record("log_mean_exp", np.log(m), (a,), vjp)
 
 
 def trace(a: Tensor) -> Tensor:
@@ -453,13 +469,14 @@ def sub_rowvec(a: Tensor, v: Tensor) -> Tensor:
 def _scatter_add_rows(idx: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """(n, d) array with out[idx[k]] += v[k], summed in the order of `idx`.
 
-    One `np.bincount` over the flat indices `idx * d + column`.  bincount
-    starts every bin at 0.0 and adds its weights in input order, exactly as
-    `np.add.at` on a zero array does, so the two agree to the bit
-    (duplicates and -0.0 included) while bincount runs several times faster.
+    One `np.bincount` over the flat indices `idx * d + column`, which are
+    `idx` itself when d == 1.  bincount starts every bin at 0.0 and adds its
+    weights in input order, exactly as `np.add.at` on a zero array does, so
+    the two agree to the bit (duplicates and -0.0 included) while bincount
+    runs several times faster.
     """
     d = v.shape[1]
-    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    flat = idx if d == 1 else (idx[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=v.ravel(), minlength=n * d).reshape(n, d)
 
 
@@ -471,9 +488,9 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """
     _expect_matrix(a, "take_rows")
     idx = np.asarray(idx, dtype=int)
-    if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= a.data.shape[0]):
-        raise ValueError("take_rows: index out of range")
     n = a.data.shape[0]
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise ValueError("take_rows: index out of range")
     return _record("take_rows", a.data[idx], (a,), lambda g: (_scatter_add_rows(idx, g, n),))
 
 
@@ -565,12 +582,21 @@ def pair_sqdist(z: Tensor) -> Tensor:
     _expect_matrix(z, "pair_sqdist")
     x = z.data
     delta = _pair_delta(x)
+    apart = delta > 0.0
 
     def vjp(g):
-        p = g.reshape(delta.shape) * (delta > 0.0)
+        p = g.reshape(apart.shape) * apart
         return (_pair_delta_vjp(x, p, 0.0),)
 
     return _record("pair_sqdist", delta.reshape(-1, 1), (z,), vjp)
+
+
+def _arcosh_root(w: np.ndarray) -> np.ndarray:
+    """sqrt(w (w + 2)) in a fresh array."""
+    root = w + 2.0
+    root *= w
+    np.sqrt(root, out=root)
+    return root
 
 
 def ball_pair_distances(z: Tensor, c: float) -> Tensor:
@@ -583,6 +609,9 @@ def ball_pair_distances(z: Tensor, c: float) -> Tensor:
     (n*n, 1) column whose row i*n + j holds D_ij.  A pair at distance 0
     (equal rows) passes no gradient, which is `rownorm`'s subgradient at
     zero.  Rows on or outside the ball, c ||z||^2 >= 1, raise ValueError.
+
+    Until the sweep, the op holds w (built in Delta's buffer) and a; the
+    VJP recomputes a_i a_j and the root with the forward's own calls.
     """
     _expect_matrix(z, "ball_pair_distances")
     c = float(c)
@@ -590,26 +619,27 @@ def ball_pair_distances(z: Tensor, c: float) -> Tensor:
     a = 1.0 - c * np.add.reduce(x * x, axis=1)
     if not np.all(a > 0.0):
         raise ValueError("ball_pair_distances: row on or outside the ball boundary")
-    aa = np.multiply.outer(a, a)
-    w = 2.0 * c * _pair_delta(x)
-    w /= aa
-    root = w + 2.0
-    root *= w
-    np.sqrt(root, out=root)
+    w = _pair_delta(x)
+    w *= 2.0 * c
+    w /= np.multiply.outer(a, a)
     sc = math.sqrt(c)
-    dist = w + root
+    dist = _arcosh_root(w)
+    dist += w
     np.log1p(dist, out=dist)
     dist /= sc
 
     def vjp(g):
         # q = dL/dw = g / (sqrt(c) sqrt(w (w + 2))), and 0 where Delta = 0
+        root = _arcosh_root(w)
         q = np.divide(g.reshape(w.shape), root, out=np.zeros_like(w), where=root > 0.0)
+        del root
         q /= sc
         # dw_ij/ds_i = c w_ij / a_i, for i first or second in the pair
         r = q * w
         ds = (c / a) * (np.add.reduce(r, axis=1) + np.add.reduce(r, axis=0))
+        del r
         q *= 2.0 * c  # dw_ij/dDelta_ij = 2c / (a_i a_j)
-        q /= aa
+        q /= np.multiply.outer(a, a)
         return (_pair_delta_vjp(x, q, ds),)
 
     return _record("ball_pair_distances", dist.reshape(-1, 1), (z,), vjp)

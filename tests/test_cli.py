@@ -677,6 +677,8 @@ FAILURES = [
       for name, problem in (("edge-not-int", "e-bad.txt:2: node ids must be integers, got '1 x'"),
                             ("feature-not-number", "x-bad.csv:3: features must be numbers, got ['0.3', 'abc']"),
                             ("features-ragged", "x-ragged.csv:3: expected 2 features, got 1"),
+                            *((f"feature-{v}", f"x-{v}.csv:3: features must be finite numbers, got ['0.3', '{v}']")
+                              for v in ("nan", "inf", "1e400")),
                             ("label-not-int", "y-bad.csv:3: labels must be integers, got '1.5'"),
                             ("splits-not-object", "s-5.json: expected a JSON object with keys train/val/test"),
                             ("features-not-utf8", "x-utf16.csv: not UTF-8 text (byte 0xff: invalid start byte)"),
@@ -738,6 +740,8 @@ def _failure_inputs(tmp_path):
     (tmp_path / "e-bad.txt").write_text("0 1\n1 x\n")
     (tmp_path / "x-bad.csv").write_text("a,b\n0.1,0.2\n0.3,abc\n")
     (tmp_path / "x-ragged.csv").write_text("a,b\n0.1,0.2\n0.3\n")
+    for v in ("nan", "inf", "1e400"):
+        (tmp_path / f"x-{v}.csv").write_text(f"a,b\n0.1,0.2\n0.3,{v}\n")
     (tmp_path / "y-bad.csv").write_text("label\n0\n1.5\n0\n1\n")
     (tmp_path / "s-5.json").write_text("5")
     (tmp_path / "s-null.json").write_text("null")
@@ -756,6 +760,7 @@ def _failure_inputs(tmp_path):
     files = {"edges": "e4.txt", "features": "x4.csv", "labels": "y4.csv", "splits": "s.json"}
     for name, bad in (("edge-not-int", {"edges": "e-bad.txt"}), ("feature-not-number", {"features": "x-bad.csv"}),
                       ("features-ragged", {"features": "x-ragged.csv"}), ("label-not-int", {"labels": "y-bad.csv"}),
+                      *((f"feature-{v}", {"features": f"x-{v}.csv"}) for v in ("nan", "inf", "1e400")),
                       ("splits-not-object", {"splits": "s-5.json"}), ("features-not-utf8", {"features": "x-utf16.csv"}),
                       ("edges-not-utf8", {"edges": "e-utf16.txt"}), ("labels-not-utf8", {"labels": "y-utf16.csv"}),
                       ("edge-beyond-features", {"edges": "e-far.txt"}), ("edge-negative", {"edges": "e-negative.txt"}),
