@@ -6,21 +6,10 @@ effective-rank collapse diagnostics and a full-batch training pipeline for
 desk-scale graphs.
 """
 
-from .geometry import (
-    Curvature,
-    PoincarePoint,
-    TangentVector,
-    conformal_factor,
-    distance,
-    exp_map,
-    log_map,
-    mobius_add,
-    project_to_ball,
-)
+from .geometry import Curvature, PoincarePoint, distance, project_to_ball
 from .tensor import Gradients, SparseMatrix, Tape, Tensor, backward, finite_diff_check
 from .spectral import (
     CovarianceSummary,
-    SingularSpectrum,
     effective_rank,
     erank_bound_check,
     gaussian_kl,
@@ -39,7 +28,6 @@ from .losses import (
     alignment_hyperbolic,
     euclidean_align_uniform,
     isotropy_tangent,
-    total_loss,
     uniformity_hyperbolic_naive,
 )
 from .graphnet import AugmentationConfig, GcnParams, Graph, augment, encode, normalize_adjacency
@@ -62,12 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Curvature",
     "PoincarePoint",
-    "TangentVector",
-    "conformal_factor",
     "distance",
-    "exp_map",
-    "log_map",
-    "mobius_add",
     "project_to_ball",
     "Gradients",
     "SparseMatrix",
@@ -76,7 +59,6 @@ __all__ = [
     "backward",
     "finite_diff_check",
     "CovarianceSummary",
-    "SingularSpectrum",
     "effective_rank",
     "erank_bound_check",
     "gaussian_kl",
@@ -91,7 +73,6 @@ __all__ = [
     "alignment_hyperbolic",
     "euclidean_align_uniform",
     "isotropy_tangent",
-    "total_loss",
     "uniformity_hyperbolic_naive",
     "AugmentationConfig",
     "GcnParams",

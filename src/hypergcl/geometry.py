@@ -1,15 +1,20 @@
-"""Poincaré-ball primitives: Möbius addition, exp/log maps, distance, projection.
+"""Poincaré-ball primitives: Möbius addition, the maps at the origin, distance, projection.
 
-Two layers live here.  The value API works on `PoincarePoint` /
-`TangentVector` and returns plain floats and points; it is what the
-diagnostics consume.  The row API works on `(n, d)` tensors (one point per
-row) and is built from taped ops, so the encoder and the losses
-differentiate straight through it.  Both share the same formulas: the value
-API delegates to the row API on 1-row batches.
+One row API does the work: functions of `(n, d)` tensors, one point per
+row, built from taped ops, so the encoder and the losses differentiate
+straight through them.  The method needs four of them: the ball distance
+for alignment (`distance_rows`, through `mobius_add_rows`), log0 for the
+tangent moments, the eps-margin projection of every embedding, and exp0,
+the push-forward that the density suite checks the sampler against.
 
-Removable singularities (zero tangent vectors, coincident points) are
-handled by explicit branches rather than jitter, so gradient checks stay
-exact away from them.
+The value helpers are the point-level API: `Curvature` (which also checks
+every `--curvature` flag), `PoincarePoint` and `distance` run in the
+README's example; `project_to_ball` is the projection for one vector, and
+`points_to_matrix` lets `spectral.tangent_moments` take a list of points.
+
+Removable singularities (zero rows, coincident points) are handled by
+explicit branches rather than jitter, so gradient checks stay exact away
+from them.
 """
 from __future__ import annotations
 
@@ -25,19 +30,11 @@ __all__ = [
     "BALL_MARGIN",
     "Curvature",
     "PoincarePoint",
-    "TangentVector",
-    "mobius_add",
-    "conformal_factor",
-    "exp_map",
-    "log_map",
     "distance",
     "project_to_ball",
     "mobius_add_rows",
-    "conformal_rows",
     "exp0_rows",
     "log0_rows",
-    "expmap_rows",
-    "logmap_rows",
     "distance_rows",
     "project_rows",
     "points_to_matrix",
@@ -87,32 +84,6 @@ class PoincarePoint:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector attached to a base point; magnitude is unconstrained."""
-
-    coords: np.ndarray
-    base_point: PoincarePoint
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.shape != (self.base_point.dim,):
-            raise ValueError(
-                f"tangent dimension {coords.shape} does not match base point dim {self.base_point.dim}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("tangent coordinates must be finite")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
-def _check_pair(u: PoincarePoint, v: PoincarePoint, c: Curvature, opname: str):
-    if u.dim != v.dim:
-        raise ValueError(f"{opname}: dimension mismatch {u.dim} vs {v.dim}")
-    if u.curvature != c or v.curvature != c:
-        raise ValueError(f"{opname}: curvature mismatch")
-
-
 def points_to_matrix(points) -> np.ndarray:
     """Stack a sequence of points (all of one curvature) into an (n, d) array."""
     points = list(points)
@@ -137,12 +108,6 @@ def mobius_add_rows(u: Tensor, v: Tensor, c: float) -> Tensor:
     den = T.sadd(T.smul(uv, 2.0 * c) + T.smul(T.mul(u2, v2), c * c), 1.0)
     num = T.rowscale(u, coef_u) + T.rowscale(v, coef_v)
     return T.rowscale(num, T.vrecip(den))
-
-
-def conformal_rows(x: Tensor, c: float) -> Tensor:
-    """Conformal factor 2 / (1 - c ||x||^2) per row."""
-    r2 = T.smul(T.rownorm2(x), -float(c))
-    return T.vrecip(T.smul(T.sadd(r2, 1.0), 0.5))
 
 
 def _scale_rows(v: Tensor, c: float, factor, at_zero: float) -> Tensor:
@@ -177,20 +142,6 @@ def log0_rows(z: Tensor, c: float) -> Tensor:
     return _scale_rows(z, c, lambda n, sc: T.vdiv(_artanh_scaled(n, sc), T.smul(n, sc)), 1.0)
 
 
-def expmap_rows(x: Tensor, v: Tensor, c: float) -> Tensor:
-    """Exponential map at arbitrary base points (row-aligned)."""
-    lam = conformal_rows(x, c)
-    v = _scale_rows(v, c, lambda n, sc: T.vdiv(T.tanh(T.smul(T.mul(lam, n), sc / 2.0)), T.smul(n, sc)), 0.0)
-    return mobius_add_rows(x, v, c)
-
-
-def logmap_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
-    """Logarithmic map at arbitrary base points (row-aligned)."""
-    lam = conformal_rows(x, c)
-    m = mobius_add_rows(T.neg(x), y, c)
-    return _scale_rows(m, c, lambda n, sc: T.vdiv(T.smul(_artanh_scaled(n, sc), 2.0 / sc), T.mul(lam, n)), 0.0)
-
-
 def distance_rows(p: Tensor, q: Tensor, c: float) -> Tensor:
     """Riemannian distance per row: (2/sqrt(c)) artanh(sqrt(c) ||-p (+) q||)."""
     sc = float(np.sqrt(c))
@@ -212,64 +163,18 @@ def project_rows(z: Tensor, c: float, eps: float) -> Tensor:
 
 # ----------------------------------------------------------------- value API
 
-def _rows(p: PoincarePoint) -> Tensor:
-    return Tensor(p.coords[None, :])
-
-
-def _inside(out: np.ndarray, c: Curvature) -> PoincarePoint:
-    """The point at out, pulled back just inside the boundary if rounding put it on or beyond it."""
-    nrm2 = c.c * float(out @ out)
-    if nrm2 >= 1.0:
-        out = out * (ARTANH_CLAMP / np.sqrt(nrm2))
-    return PoincarePoint(out, c)
-
-
-def mobius_add(u: PoincarePoint, v: PoincarePoint, c: Curvature) -> PoincarePoint:
-    """Möbius addition of two ball points.
-
-    The result is re-projected just inside the boundary in the (rounding
-    only) event that it lands on it.
-    """
-    _check_pair(u, v, c, "mobius_add")
-    return _inside(mobius_add_rows(_rows(u), _rows(v), c.c).data[0], c)
-
-
-def conformal_factor(x: PoincarePoint, c: Curvature) -> float:
-    if x.curvature != c:
-        raise ValueError("conformal_factor: curvature mismatch")
-    return float(conformal_rows(_rows(x), c.c).data[0])
-
-
-def _same_point(a: PoincarePoint, b: PoincarePoint) -> bool:
-    return a is b or (a.curvature == b.curvature and np.array_equal(a.coords, b.coords))
-
-
-def exp_map(x: PoincarePoint, v: TangentVector, c: Curvature) -> PoincarePoint:
-    if not _same_point(v.base_point, x):
-        raise ValueError("exp_map: tangent vector is not based at x")
-    if x.curvature != c:
-        raise ValueError("exp_map: curvature mismatch")
-    if not np.any(v.coords):
-        return x
-    return _inside(expmap_rows(_rows(x), Tensor(v.coords[None, :]), c.c).data[0], c)
-
-
-# log_map and distance return the exact zero for coincident points: near the
-# boundary the Möbius denominator of -x (+) x cancels to 0 and the row API
-# would raise NonFiniteError.
-def log_map(x: PoincarePoint, y: PoincarePoint, c: Curvature) -> TangentVector:
-    _check_pair(x, y, c, "log_map")
-    if np.array_equal(x.coords, y.coords):
-        return TangentVector(np.zeros(x.dim), x)
-    out = logmap_rows(_rows(x), _rows(y), c.c).data[0]
-    return TangentVector(out, x)
-
-
 def distance(p: PoincarePoint, q: PoincarePoint, c: Curvature) -> float:
-    _check_pair(p, q, c, "distance")
+    """Ball distance of two points of curvature c, as a float."""
+    if p.dim != q.dim:
+        raise ValueError(f"distance: dimension mismatch {p.dim} vs {q.dim}")
+    if p.curvature != c or q.curvature != c:
+        raise ValueError("distance: curvature mismatch")
+    # Coincident points are at distance exactly 0: near the boundary the
+    # Möbius denominator of -p (+) p cancels to 0 and the row API would
+    # raise NonFiniteError.
     if np.array_equal(p.coords, q.coords):
         return 0.0
-    return float(distance_rows(_rows(p), _rows(q), c.c).data[0])
+    return float(distance_rows(Tensor(p.coords[None, :]), Tensor(q.coords[None, :]), c.c).data[0])
 
 
 def project_to_ball(z, c: Curvature, eps: float = BALL_MARGIN) -> PoincarePoint:

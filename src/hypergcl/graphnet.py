@@ -278,10 +278,10 @@ def load_label_csv(path) -> np.ndarray:
 
 def load_splits_json(path) -> dict:
     """JSON object with a flat list of node indices under each of the keys train/val/test."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         try:
             obj = json.load(fh)
-        except ValueError as e:
+        except json.JSONDecodeError as e:
             raise ValueError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object with keys train/val/test, got {obj!r:.40}")

@@ -2,7 +2,7 @@
 
 All losses take (n, d) row batches (tensors or arrays, one embedding per
 row) and return scalar tensors, differentiable end to end through the taped
-ops.  The `variant` argument of `total_loss` selects which second term
+ops.  The `variant` argument of `total_loss_parts` selects which second term
 accompanies the alignment term, covering the whole ablation family:
 
     euclidean                   L2-normalized alignment + pairwise uniformity
@@ -37,7 +37,6 @@ __all__ = [
     "isotropy_tangent",
     "uniformity_hyperbolic_naive",
     "euclidean_align_uniform",
-    "total_loss",
     "total_loss_parts",
 ]
 
@@ -139,11 +138,9 @@ def uniformity_hyperbolic_naive(z, t: float, c: float) -> Tensor:
     return _log_mean_exp_pairs(T.ball_pair_distances(z, float(c)), n, t)
 
 
-def _normalize_rows(z: Tensor, opname: str) -> Tensor:
-    norms = np.sqrt(np.sum(z.data * z.data, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError(f"{opname}: zero row cannot be L2-normalized")
-    return T.rowscale(z, T.vrecip(T.rownorm(z)))
+def _normalize_rows(z: Tensor) -> Tensor:
+    """Rows of z scaled to unit norm; a zero row stays zero and passes zero gradient."""
+    return geom._scale_rows(z, 1.0, lambda n, _: T.vrecip(n), 0.0)
 
 
 def _euclidean_uniformity(x: Tensor, t: float) -> Tensor:
@@ -160,8 +157,8 @@ def euclidean_align_uniform(z, zp, t: float) -> tuple[Tensor, Tensor]:
     over ordered pairs, averaged across the two views.
     """
     z, zp = _pair(z, zp, "euclidean_align_uniform")
-    x = _normalize_rows(z, "euclidean_align_uniform")
-    xp = _normalize_rows(zp, "euclidean_align_uniform")
+    x = _normalize_rows(z)
+    xp = _normalize_rows(zp)
     align = T.mean_all(T.rownorm2(T.sub(x, xp)))
     uniform = T.smul(_euclidean_uniformity(x, t) + _euclidean_uniformity(xp, t), 0.5)
     return align, uniform
@@ -207,18 +204,3 @@ def total_loss_parts(
         second = isotropy_tangent(z, zp, c, jitter, target_mean, target_diag)
     total = align + T.smul(second, lam) if lam != 0.0 else align
     return total, align, second
-
-
-def total_loss(
-    z,
-    zp,
-    weights: LossWeights,
-    c: float,
-    variant: str,
-    jitter: float = spectral.DEFAULT_JITTER,
-    target_mean: float = 0.0,
-    target_diag: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Combined objective align + lambda_u * (variant-selected second term)."""
-    total, _, _ = total_loss_parts(z, zp, weights, c, variant, jitter, target_mean, target_diag)
-    return total

@@ -12,7 +12,7 @@ factor, so both are exposed and labeled distinctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .tensor import Tensor
 __all__ = [
     "DEFAULT_JITTER",
     "CovarianceSummary",
-    "SingularSpectrum",
     "BoundCheck",
     "tangent_moments",
     "tangent_moments_tensors",
@@ -67,22 +66,6 @@ class CovarianceSummary:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SingularSpectrum:
-    """Nonincreasing nonnegative singular values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("spectrum must be a nonempty vector")
-        if np.any(v < 0.0) or np.any(np.diff(v) > 0.0):
-            raise ValueError("spectrum must be nonnegative and sorted descending")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 class BoundCheck(NamedTuple):
@@ -141,13 +124,11 @@ def _entropy_erank(values: np.ndarray) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
-def effective_rank(m: Union[np.ndarray, SingularSpectrum]) -> float:
+def effective_rank(m: np.ndarray) -> float:
     """exp of the Shannon entropy of the normalized singular values.
 
     Lies in [1, Q] with Q = min(m, n); invariant to positive scaling.
     """
-    if isinstance(m, SingularSpectrum):
-        return _entropy_erank(m.values)
     m = np.asarray(m, dtype=float)
     if not np.any(m):
         raise ValueError("effective rank of an all-zero matrix is undefined")

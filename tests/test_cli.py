@@ -703,7 +703,8 @@ FAILURES = [
                             ("object", "split 'train' must be a list of integers, got {'a': 1}"),
                             ("nested", "split 'test' must be a list of integers, got [3]"),
                             ("float", "split 'test' must be a list of integers, got 2.0"),
-                            ("broken", "not valid JSON"))],
+                            ("broken", "not valid JSON"),
+                            ("utf16", "not UTF-8 text (byte 0xff: invalid start byte)"))],
     ("eval-embedding-not-number", "eval --embeddings {t}/emb-bad.csv --labels {t}/y4.csv --splits {t}/s.json", 2,
      "emb-bad.csv:2: embeddings must be numbers, got '0.1,x'"),
     ("diagnose-embeddings-ragged", "diagnose --embeddings {t}/emb-ragged.csv", 2,
@@ -752,7 +753,7 @@ def _failure_inputs(tmp_path):
     (tmp_path / "emb-bad.csv").write_text("0.2,0.1\n0.1,x\n")
     (tmp_path / "emb-ragged.csv").write_text("0.2,0.1\n0.1\n")
     for name, text in (("x-utf16.csv", "a,b\n0.1,0.2\n"), ("e-utf16.txt", "0 1\n"), ("y-utf16.csv", "label\n0\n"),
-                       ("emb-utf16.csv", "0.1,0.2\n")):
+                       ("emb-utf16.csv", "0.1,0.2\n"), ("s-utf16.json", '{"train": [0], "val": [], "test": [1]}')):
         (tmp_path / name).write_bytes(text.encode("utf-16"))  # starts with the bytes ff fe
     (tmp_path / "e-far.txt").write_text("0 1\n1 9\n")
     (tmp_path / "e-negative.txt").write_text("0 1\n-1 2\n")

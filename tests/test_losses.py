@@ -4,6 +4,7 @@ import pytest
 
 from helpers import ball_batch, spearman
 from hypergcl import geometry as geom
+from hypergcl import losses
 from hypergcl import tensor as T
 from hypergcl.losses import (
     LossWeights,
@@ -11,7 +12,6 @@ from hypergcl.losses import (
     alignment_hyperbolic,
     euclidean_align_uniform,
     isotropy_tangent,
-    total_loss,
     total_loss_parts,
     uniformity_hyperbolic_naive,
 )
@@ -172,9 +172,22 @@ def test_euclidean_rows_are_normalized_internally():
     assert float(align) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_euclidean_zero_row_rejected():
-    with pytest.raises(ValueError):
-        euclidean_align_uniform(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2), 1.0)
+def test_euclidean_zero_rows_normalize_to_zero_with_zero_gradient():
+    # node dropping leaves zero rows: they stay zero and pass no gradient,
+    # the rule of rownorm's zero lane
+    z = Tensor(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]]))
+    zp = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    with Tape() as tape:
+        x = losses._normalize_rows(z)
+        align, uniform = euclidean_align_uniform(z, zp, 2.0)
+        loss = align + uniform
+    assert np.array_equal(x.data[0], [0.0, 0.0])
+    assert np.allclose(x.data[1:], [[0.6, 0.8], [0.0, 1.0]], rtol=0.0, atol=1e-15)
+    assert np.isfinite(float(loss))
+    grads = tape.backward(loss)
+    gz, gzp = grads.wrt(z), grads.wrt(zp)
+    assert np.array_equal(gz[0], [0.0, 0.0]) and np.array_equal(gzp[1], [0.0, 0.0])
+    assert np.all(np.any(gz[1:] != 0.0, axis=1)) and np.all(np.any(gzp[[0, 2]] != 0.0, axis=1))
 
 
 def test_euclidean_gradient():
@@ -195,17 +208,17 @@ def test_total_loss_variants():
     zp = ball_batch(rng, 12, 4)
     w = LossWeights(lambda_u=1.0, t=2.0)
     for variant in VARIANTS:
-        val = float(total_loss(z, zp, w, 1.0, variant))
+        val = float(total_loss_parts(z, zp, w, 1.0, variant)[0])
         assert np.isfinite(val)
     with pytest.raises(ValueError):
-        total_loss(z, zp, w, 1.0, "nope")
+        total_loss_parts(z, zp, w, 1.0, "nope")
 
 
 def test_total_loss_align_only_equal_views():
     rng = np.random.default_rng(11)
     z = ball_batch(rng, 6, 3)
     w = LossWeights()
-    assert float(total_loss(z, z, w, 1.0, "hyperbolic-align-only")) == 0.0
+    assert float(total_loss_parts(z, z, w, 1.0, "hyperbolic-align-only")[0]) == 0.0
 
 
 def test_total_loss_lambda_zero_is_alignment():
@@ -214,7 +227,7 @@ def test_total_loss_lambda_zero_is_alignment():
     zp = ball_batch(rng, 8, 3)
     w0 = LossWeights(lambda_u=0.0, t=2.0)
     for variant in ("hypergcl", "hyperbolic-naive-uniformity", "hyperbolic-align-only"):
-        assert float(total_loss(z, zp, w0, 1.0, variant)) == float(
+        assert float(total_loss_parts(z, zp, w0, 1.0, variant)[0]) == float(
             alignment_hyperbolic(z, zp, 1.0)
         )
     total, align, _ = total_loss_parts(z, zp, w0, 1.0, "euclidean")
@@ -226,7 +239,7 @@ def test_total_loss_hypergcl_reduces_to_alignment_at_unit_moments():
     z = exact_moment_views(rng, 24, 3)
     zp = exact_moment_views(rng, 24, 3)
     w = LossWeights(lambda_u=1.0, t=2.0)
-    total = float(total_loss(z, zp, w, 1.0, "hypergcl"))
+    total = float(total_loss_parts(z, zp, w, 1.0, "hypergcl")[0])
     align = float(alignment_hyperbolic(z, zp, 1.0))
     assert total == pytest.approx(align, abs=1e-9)
 
@@ -251,7 +264,7 @@ def test_full_objective_gradient_on_small_graph():
         p.theta1 = theta1
         z1 = encode(g1, p, 1.0, 1e-5)
         z2 = encode(g2, p, 1.0, 1e-5)
-        return total_loss(z1, z2, w, 1.0, "hypergcl")
+        return total_loss_parts(z1, z2, w, 1.0, "hypergcl")[0]
 
     assert finite_diff_check(f, params0.theta1.data) < 1e-5
 

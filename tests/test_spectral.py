@@ -9,7 +9,6 @@ from hypergcl import tensor as T
 from hypergcl.geometry import Curvature, PoincarePoint
 from hypergcl.spectral import (
     CovarianceSummary,
-    SingularSpectrum,
     covariance_effective_rank,
     effective_rank,
     erank_bound_check,
@@ -78,13 +77,6 @@ def test_covariance_summary_validation():
         CovarianceSummary(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
         CovarianceSummary(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))  # indefinite
-
-
-def test_singular_spectrum_validation():
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, 2.0]))  # increasing
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, -0.1]))
 
 
 def test_effective_rank_identity_and_rank_one():

@@ -214,6 +214,17 @@ def test_training_memory_is_one_step_deep(variant):
     assert peak(3) <= 1.10 * peak(1)
 
 
+@pytest.mark.parametrize("variant", ["euclidean", "tangent-euclidean"])
+def test_euclidean_variants_train_under_default_augmentation(variant):
+    # node dropping (node_drop_prob 0.1 by default) embeds dropped nodes to
+    # zero rows, which the L2 normalization keeps at zero
+    cfg = ExperimentConfig(variant=variant, encoder=EncoderConfig(hidden_dim=32, out_dim=16),
+                           optimizer=OptimizerConfig(steps=5), log_every=1)
+    params, trace = train(cfg)
+    assert len(trace.records) == 5 and np.all(np.isfinite(trace.column("total")))
+    assert all(np.all(np.isfinite(t.data)) for t in params.all_tensors())
+
+
 def test_align_only_collapses_and_hypergcl_does_not():
     collapse = tree31_config(
         weights=LossWeights(lambda_u=0.0, t=2.0),
