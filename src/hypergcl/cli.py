@@ -182,13 +182,16 @@ def _resolved_dict(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _load_config_file(path) -> dict:
+    """The JSON object of a UTF-8 config file; any failure to read it is a ConfigError naming the file."""
     try:
-        with open(path) as fh:
+        with open_text(path) as fh:
             return json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        raise ConfigError(f"{path}: config is not valid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config file: {e.strerror or e}") from e
+    except ValueError as e:  # open_text's message already names the file
+        raise ConfigError(str(e)) from e
 
 
 def _override(cfg: ExperimentConfig, flag: str, name: str, value) -> ExperimentConfig:
@@ -316,17 +319,8 @@ def cmd_density(args) -> int:
         spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
     except ValueError as e:
         raise ConfigError(f"--sigma {args.sigma}: {e}") from e
-    # dim, sigma and curvature are checked above, so a ValueError here is
-    # about the grid size named by the flag
-    try:
-        integral = density.integrate_density(spec, resolution=args.resolution)
-    except ValueError as e:
-        raise ConfigError(f"--resolution {args.resolution}: {e}") from e
-    try:
-        table = density.density_profile(spec, n_radii=args.n_radii)
-    except ValueError as e:
-        raise ConfigError(f"--n-radii {args.n_radii}: {e}") from e
-    density.write_profile_csv(args.out, table)
+    integral = density.integrate_density(spec)  # fixed grids: 2048 cells per axis, 256 radii
+    density.write_profile_csv(args.out, density.density_profile(spec, 256))
     print(f"integral={integral:.6f}")
     return EXIT_OK
 
@@ -437,8 +431,6 @@ def main(argv=None) -> int:
     p.add_argument("--curvature", type=_curvature, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, default=2048)
-    p.add_argument("--n-radii", type=int, default=256)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify", help="run a property suite")

@@ -12,9 +12,8 @@ every `--curvature` flag), `PoincarePoint` and `distance` run in the
 README's example; `project_to_ball` is the projection for one vector, and
 `points_to_matrix` lets `spectral.tangent_moments` take a list of points.
 
-Removable singularities (zero rows, coincident points) are handled by
-explicit branches rather than jitter, so gradient checks stay exact away
-from them.
+Removable singularities (zero rows) are handled by explicit branches
+rather than jitter, so gradient checks stay exact away from them.
 """
 from __future__ import annotations
 
@@ -154,37 +153,36 @@ def distance_rows(p: Tensor, q: Tensor, c: float) -> Tensor:
 BALL_MARGIN = 1e-5
 
 
-def project_rows(z: Tensor, c: float, eps: float) -> Tensor:
-    """Project rows into the eps-margin ball: rescale rows beyond (1-eps)/sqrt(c)."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"projection margin eps must lie in (0, 1), got {eps}")
-    return T.cap_rownorms(z, (1.0 - eps) / np.sqrt(float(c)))
+def project_rows(z: Tensor, c: float) -> Tensor:
+    """Project rows into the eps-margin ball: rescale rows beyond (1 - BALL_MARGIN)/sqrt(c)."""
+    return T.cap_rownorms(z, (1.0 - BALL_MARGIN) / np.sqrt(float(c)))
 
 
 # ----------------------------------------------------------------- value API
 
 def distance(p: PoincarePoint, q: PoincarePoint, c: Curvature) -> float:
-    """Ball distance of two points of curvature c, as a float."""
+    """Ball distance log1p(w + sqrt(w(w + 2)))/sqrt(c), w = 2c||p-q||^2/((1-c||p||^2)(1-c||q||^2)).
+
+    This form does not cancel near the boundary, and equal points are at exactly 0.
+    """
     if p.dim != q.dim:
         raise ValueError(f"distance: dimension mismatch {p.dim} vs {q.dim}")
     if p.curvature != c or q.curvature != c:
         raise ValueError("distance: curvature mismatch")
-    # Coincident points are at distance exactly 0: near the boundary the
-    # Möbius denominator of -p (+) p cancels to 0 and the row API would
-    # raise NonFiniteError.
-    if np.array_equal(p.coords, q.coords):
-        return 0.0
-    return float(distance_rows(Tensor(p.coords[None, :]), Tensor(q.coords[None, :]), c.c).data[0])
+    diff = p.coords - q.coords
+    a_p = 1.0 - c.c * float(p.coords @ p.coords)
+    a_q = 1.0 - c.c * float(q.coords @ q.coords)
+    w = 2.0 * c.c * float(diff @ diff) / (a_p * a_q)
+    return float(np.log1p(w + np.sqrt(w * (w + 2.0))) / np.sqrt(c.c))
 
 
-def project_to_ball(z, c: Curvature, eps: float = BALL_MARGIN) -> PoincarePoint:
+def project_to_ball(z, c: Curvature) -> PoincarePoint:
     """Rescale an ambient vector onto the eps-margin ball if it falls outside.
 
-    Identity inside the margin; direction-preserving and idempotent.  A zero
-    margin is rejected because the boundary has an infinite conformal factor.
+    Identity inside the margin; direction-preserving and idempotent.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"project_to_ball expects a vector, got shape {z.shape}")
-    out = project_rows(Tensor(z[None, :]), c.c, eps).data[0]
+    out = project_rows(Tensor(z[None, :]), c.c).data[0]
     return PoincarePoint(out, c)

@@ -173,20 +173,21 @@ def encode(
     g: Graph,
     params: GcnParams,
     c: float,
-    eps: float = geom.BALL_MARGIN,
+    *,
     adj: Optional[SparseMatrix] = None,
 ) -> Tensor:
     """Two GCN layers followed by projection into the eps-margin ball.
 
     Each layer is prelu(A_norm @ X @ theta); the output rows are ball points
-    recorded on the active tape, with norms capped at (1 - eps)/sqrt(c).
+    recorded on the active tape, with norms capped at (1 - BALL_MARGIN)/sqrt(c).
+    `adj` is `normalize_adjacency(g)` when the caller already has it.
     """
     if adj is None:
         adj = normalize_adjacency(g)
     x = Tensor(g.features)
     h = T.prelu(T.spmm(adj, T.matmul(x, params.theta1)), params.slopes[0])
     z = T.prelu(T.spmm(adj, T.matmul(h, params.theta2)), params.slopes[1])
-    return geom.project_rows(z, float(c), eps)
+    return geom.project_rows(z, float(c))
 
 
 def init_params(d_x: int, d_h: int, d_out: int, seed: int, scale: float = 1.0) -> GcnParams:

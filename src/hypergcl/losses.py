@@ -81,14 +81,15 @@ def isotropy_tangent(
     z,
     zp,
     c: float,
-    jitter: float = spectral.DEFAULT_JITTER,
+    *,
     target_mean: float = 0.0,
     target_diag: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Sum of the two per-view Gaussian match terms on the tangent plane.
 
     Exactly gaussian_kl(moments(z)) + gaussian_kl(moments(zp)); the default
-    target expands to tr(S + S') - logdet(S S') - 2d + ||mu||^2 + ||mu'||^2.
+    target expands to tr(S + S') - logdet(S S') - 2d + ||mu||^2 + ||mu'||^2,
+    with S the covariance plus `spectral.DEFAULT_JITTER` * I.
     `target_mean` / `target_diag` swap the unit reference Gaussian for
     N(m * 1, diag(v)) in both terms (used by the perturbation sweeps).
     """
@@ -96,7 +97,7 @@ def isotropy_tangent(
     total = None
     for view in (z, zp):
         mu, sigma = spectral.tangent_moments_tensors(view, float(c))
-        kl = spectral.gaussian_kl_tensors(mu, sigma, jitter, target_mean, target_diag)
+        kl = spectral.gaussian_kl_tensors(mu, sigma, spectral.DEFAULT_JITTER, target_mean, target_diag)
         total = kl if total is None else total + kl
     return total
 
@@ -170,7 +171,7 @@ def total_loss_parts(
     weights: LossWeights,
     c: float,
     variant: str,
-    jitter: float = spectral.DEFAULT_JITTER,
+    *,
     target_mean: float = 0.0,
     target_diag: Optional[np.ndarray] = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -201,6 +202,6 @@ def total_loss_parts(
         )
     else:  # hypergcl
         align = alignment_hyperbolic(z, zp, c)
-        second = isotropy_tangent(z, zp, c, jitter, target_mean, target_diag)
+        second = isotropy_tangent(z, zp, c, target_mean=target_mean, target_diag=target_diag)
     total = align + T.smul(second, lam) if lam != 0.0 else align
     return total, align, second

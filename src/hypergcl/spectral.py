@@ -2,8 +2,9 @@
 
 The covariance of a batch uses the 1/N normalization (not 1/(N-1)).  The KL
 term is the additive form tr(S) - logdet(S) - d + ||mu||^2 against a unit
-Gaussian; a jitter of 1e-6 * I is folded into S before the trace/logdet so
-the term stays defined in the collapse regime this toolkit must measure.
+Gaussian; a jitter of `DEFAULT_JITTER` * I (1e-6) is folded into S so the
+term stays defined in the collapse regime this toolkit must measure; only
+`gaussian_kl_tensors` takes another (0 gives the exact KL).
 Effective rank of a rectangular matrix uses its singular values (LAPACK
 SVD); effective rank of a covariance uses the eigenvalues of its symmetric
 part (`np.linalg.eigvalsh`).  The two spectra differ by squaring and a 1/N
@@ -169,27 +170,27 @@ def gaussian_kl_tensors(
     if diag.shape != (d,) or np.any(diag <= 0.0):
         raise ValueError("target covariance diagonal must be positive with matching dim")
     inv_diag = 1.0 / diag
-    scaled = T.matmul(Tensor(np.diag(inv_diag)), s)
+    scaled = T.rowscale(s, Tensor(inv_diag))
     delta = T.sadd(mu, -float(target_mean))
     quad = T.dot(delta, T.mul(Tensor(inv_diag), delta))
     out = T.trace(scaled) + T.neg(T.logdet(s)) + quad
     return T.sadd(out, float(np.sum(np.log(diag))) - float(d))
 
 
-def gaussian_kl(s: CovarianceSummary, jitter: float = DEFAULT_JITTER) -> float:
+def gaussian_kl(s: CovarianceSummary) -> float:
     """Nonnegative divergence of summarized moments from the unit Gaussian."""
-    return float(gaussian_kl_tensors(Tensor(s.mu), Tensor(s.sigma), jitter))
+    return float(gaussian_kl_tensors(Tensor(s.mu), Tensor(s.sigma)))
 
 
-def erank_bound_check(s: CovarianceSummary, jitter: float = DEFAULT_JITTER) -> BoundCheck:
+def erank_bound_check(s: CovarianceSummary) -> BoundCheck:
     """Check -D(sigma, mu) <= log Erank(sigma) + const with const = -log d.
 
     The constant is calibrated once from the equality member sigma = I,
     mu = 0 (both sides zero).  Both sides are reported; `holds` compares
     them with a 1e-9 slack for rounding.
     """
-    lhs = -gaussian_kl(s, jitter)
-    erank = covariance_effective_rank(np.asarray(s.sigma) + jitter * np.eye(s.dim))
+    lhs = -gaussian_kl(s)
+    erank = covariance_effective_rank(np.asarray(s.sigma) + DEFAULT_JITTER * np.eye(s.dim))
     rhs = float(np.log(erank) - np.log(s.dim))
     return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9))
 

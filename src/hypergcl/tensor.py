@@ -303,7 +303,8 @@ def artanh(a: Tensor) -> Tensor:
 
 
 def vrecip(a: Tensor) -> Tensor:
-    y = 1.0 / a.data
+    with np.errstate(divide="ignore"):
+        y = 1.0 / a.data
     return _record("vrecip", y, (a,), lambda g: (-g * y * y,))
 
 

@@ -1,8 +1,9 @@
 """Runnable property suites mirroring each module's invariants.
 
 Each suite returns a list of PropertyResult records; the CLI `verify`
-subcommand renders them and fails the process if any property fails.  All
-randomness is seeded so a failure is reproducible bit for bit.
+subcommand renders them and fails the process if any property fails.  The
+suites take no arguments: each draws from its own fixed seed (`_SEEDS`), so
+a failure is reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ def _result(suite, name, passed, detail) -> PropertyResult:
     return PropertyResult(suite, name, bool(passed), detail)
 
 
+_SEEDS = {"geometry": 20240501, "autodiff": 20240502, "density": 20240503, "spectral": 20240504}
+_SAMPLES = 10000  # random points per geometry identity
+
+
 def _ball_batch(rng, n, d, c=1.0, max_radius=0.95) -> np.ndarray:
     """Uniform directions with radii spread over (0, max_radius/sqrt(c))."""
     x = rng.standard_normal((n, d))
@@ -39,22 +44,22 @@ def _ball_batch(rng, n, d, c=1.0, max_radius=0.95) -> np.ndarray:
 
 # ------------------------------------------------------------------ geometry
 
-def geometry_suite(samples: int = 10000, seed: int = 20240501) -> list:
-    rng = np.random.default_rng(seed)
+def geometry_suite() -> list:
+    rng = np.random.default_rng(_SEEDS["geometry"])
     out = []
     c = 1.0
     d = 8
 
-    u = _ball_batch(rng, samples, d)
-    v = _ball_batch(rng, samples, d)
-    w = _ball_batch(rng, samples, d)
+    u = _ball_batch(rng, _SAMPLES, d)
+    v = _ball_batch(rng, _SAMPLES, d)
+    w = _ball_batch(rng, _SAMPLES, d)
 
     s = geom.mobius_add_rows(Tensor(u), Tensor(v), c)
     back = geom.mobius_add_rows(Tensor(-u), s, c)
     err = float(np.max(np.abs(back.data - v)))
-    out.append(_result("geometry", "mobius-left-cancellation", err < 1e-9, f"max err {err:.3e} over {samples} pairs"))
+    out.append(_result("geometry", "mobius-left-cancellation", err < 1e-9, f"max err {err:.3e} over {_SAMPLES} pairs"))
 
-    vt = rng.standard_normal((samples, d)) * rng.uniform(0.0, 3.0, (samples, 1)) / np.sqrt(d)
+    vt = rng.standard_normal((_SAMPLES, d)) * rng.uniform(0.0, 3.0, (_SAMPLES, 1)) / np.sqrt(d)
     z = geom.exp0_rows(Tensor(vt), c)
     rt = geom.log0_rows(z, c)
     err_fwd = float(np.max(np.abs(rt.data - vt)))
@@ -91,7 +96,7 @@ def geometry_suite(samples: int = 10000, seed: int = 20240501) -> list:
             "geometry",
             "distance-triangle-inequality",
             slack <= 1e-12,
-            f"max D(p,r)-D(p,q)-D(q,r) = {slack:.3e} over {samples} triples",
+            f"max D(p,r)-D(p,q)-D(q,r) = {slack:.3e} over {_SAMPLES} triples",
         )
     )
 
@@ -119,16 +124,15 @@ def geometry_suite(samples: int = 10000, seed: int = 20240501) -> list:
         )
     )
 
-    eps = geom.BALL_MARGIN
-    cap = (1.0 - eps) / np.sqrt(c)
-    big = rng.standard_normal((samples, d)) * 2.0
-    proj = geom.project_rows(Tensor(big), c, eps).data
+    cap = (1.0 - geom.BALL_MARGIN) / np.sqrt(c)
+    big = rng.standard_normal((_SAMPLES, d)) * 2.0
+    proj = geom.project_rows(Tensor(big), c).data
     norms = np.linalg.norm(proj, axis=1)
     margin_ok = bool(np.max(norms) <= cap * (1.0 + 1e-14))
-    twice = geom.project_rows(Tensor(proj), c, eps).data
+    twice = geom.project_rows(Tensor(proj), c).data
     idem = float(np.max(np.abs(twice - proj)))
     inside = big[np.linalg.norm(big, axis=1) <= cap]
-    untouched = bool(np.array_equal(geom.project_rows(Tensor(inside), c, eps).data, inside))
+    untouched = bool(np.array_equal(geom.project_rows(Tensor(inside), c).data, inside))
     out.append(
         _result(
             "geometry",
@@ -211,7 +215,8 @@ def _scalarized_checks(rng) -> list:
     ]
 
 
-def autodiff_suite(seed: int = 20240502) -> list:
+def autodiff_suite() -> list:
+    seed = _SEEDS["autodiff"]
     out = []
     worst_name, worst = "", 0.0
     for point_seed in range(10):
@@ -278,9 +283,9 @@ def _ks_statistic(sorted_radii: np.ndarray, cdf_vals: np.ndarray) -> float:
     return float(max(np.max(np.abs(hi - cdf_vals)), np.max(np.abs(cdf_vals - lo))))
 
 
-def density_suite(seed: int = 20240503) -> list:
+def density_suite() -> list:
     out = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEEDS["density"])
 
     worst = 0.0
     for d in (1, 2, 3):
@@ -349,9 +354,9 @@ def density_suite(seed: int = 20240503) -> list:
 
 # ------------------------------------------------------------------ spectral
 
-def spectral_suite(seed: int = 20240504) -> list:
+def spectral_suite() -> list:
     out = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEEDS["spectral"])
 
     m = rng.standard_normal((12, 6))
     base = spectral.effective_rank(m)

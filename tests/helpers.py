@@ -1,5 +1,7 @@
-"""Shared test utilities: rank correlations, ball sampling, the KS statistic and perfbench."""
+"""Shared test utilities: rank correlations, ball sampling, exact ball distances, the KS statistic and perfbench."""
 import importlib.util
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,14 @@ def spearman(x, y) -> float:
         return np.argsort(np.argsort(v))
 
     return pearson(ranks(np.asarray(x, float)), ranks(np.asarray(y, float)))
+
+
+def exact_ball_distance(x, y) -> float:
+    """D(x, y) at c = 1 with Delta and a_x a_y in exact rational arithmetic, rounded once."""
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    delta = sum((p - q) ** 2 for p, q in zip(fx, fy))
+    w = float(2 * delta / ((1 - sum(p * p for p in fx)) * (1 - sum(q * q for q in fy))))
+    return math.log1p(w + math.sqrt(w * (w + 2.0)))
 
 
 # perfbench/run.py, a script in a directory that is not a package

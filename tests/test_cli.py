@@ -472,15 +472,6 @@ def test_eval_inconsistent_inputs_exit(tmp_path, capsys, labels, splits, problem
     assert err.startswith("error: ") and problem in err
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--resolution", "10"), ("--n-radii", "1")], ids=["resolution", "n-radii"]
-)
-def test_density_grid_too_coarse_exit(tmp_path, capsys, flag, value):
-    args = ["density", "--sigma", "1.0", "--curvature", "1.0", "--dim", "1", "--out", str(tmp_path / "x.csv")]
-    assert cli.main(args + [flag, value]) == 1
-    assert flag in capsys.readouterr().err
-
-
 def test_density_prints_integral(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     rc = cli.main(["density", "--sigma", "1.0", "--curvature", "1.0", "--dim", "1", "--out", str(out)])
@@ -599,7 +590,11 @@ def test_seed_flag_overrides_config(tmp_path):
 # (id, command line, exit code, part of the one `error:` line); {t} is the test's directory in either
 FAILURES = [
     ("train-absent-config", "train --config {t}/absent.json --out {t}/out", 1, "cannot read config file"),
-    ("train-broken-config", "train --config {t}/broken.json --out {t}/out", 1, "config is not valid JSON"),
+    ("train-broken-config", "train --config {t}/broken.json --out {t}/out", 1, "broken.json: config is not valid JSON"),
+    ("train-config-not-utf8", "train --config {t}/cfg-utf16.json --out {t}/out", 1,
+     "cfg-utf16.json: not UTF-8 text (byte 0xff: invalid start byte)"),
+    ("train-config-latin1", "train --config {t}/cfg-latin1.json --out {t}/out", 1,
+     "cfg-latin1.json: not UTF-8 text (byte 0xe9: invalid continuation byte)"),
     ("train-unknown-key", "train --config {t}/unknown.json --out {t}/out", 1, "unknown config key 'lamda'"),
     ("train-negative-seed", "train --config {t}/base.json --out {t}/out --seed -1", 1, "--seed -1: seed must be"),
     ("train-no-out", "train --config {t}/base.json", 2, "no output directory given"),
@@ -640,13 +635,17 @@ FAILURES = [
                         ("-square-subnormal", "1e-155"))],
     ("density-curvature", "density --sigma 1 --curvature 0 --dim 1 --out {t}/out", 1,
      "argument --curvature: curvature must be a positive real, got 0.0"),
+    # the grid is fixed (2048 cells, 256 radii), so these flags are unknown
     ("density-resolution", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --resolution 10", 1,
-     "--resolution 10: "),
-    ("density-n-radii", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --n-radii 1", 1, "--n-radii 1: "),
+     "unrecognized arguments: --resolution 10"),
+    ("density-n-radii", "density --sigma 1 --curvature 1 --dim 1 --out {t}/out --n-radii 1", 1,
+     "unrecognized arguments: --n-radii 1"),
     ("density-unwritable-out", "density --sigma 1 --curvature 1 --dim 1 --out {t}/blocker/p.csv", 2, "blocker"),
     ("verify-unwritable-out", "verify --suite geometry --out {t}/blocker/r.json", 2, "blocker"),
     ("sweep-broken-config", "sweep --config {t}/broken.json --axis curvature --values 1 --out {t}/out", 1,
      "not valid JSON"),
+    ("sweep-config-not-utf8", "sweep --config {t}/cfg-utf16.json --axis curvature --values 1 --out {t}/out", 1,
+     "cfg-utf16.json: not UTF-8 text (byte 0xff: invalid start byte)"),
     ("sweep-no-values", "sweep --config {t}/base.json --axis curvature --values '' --out {t}/out", 1, "at least one"),
     ("sweep-bad-value", "sweep --config {t}/base.json --axis curvature --values 1,x --out {t}/out", 1, "to float: 'x'"),
     ("sweep-bad-seed", "sweep --config {t}/base.json --axis curvature --values 1 --seeds 0,0.5 --out {t}/out", 1,
@@ -753,8 +752,10 @@ def _failure_inputs(tmp_path):
     (tmp_path / "emb-bad.csv").write_text("0.2,0.1\n0.1,x\n")
     (tmp_path / "emb-ragged.csv").write_text("0.2,0.1\n0.1\n")
     for name, text in (("x-utf16.csv", "a,b\n0.1,0.2\n"), ("e-utf16.txt", "0 1\n"), ("y-utf16.csv", "label\n0\n"),
-                       ("emb-utf16.csv", "0.1,0.2\n"), ("s-utf16.json", '{"train": [0], "val": [], "test": [1]}')):
+                       ("emb-utf16.csv", "0.1,0.2\n"), ("s-utf16.json", '{"train": [0], "val": [], "test": [1]}'),
+                       ("cfg-utf16.json", json.dumps(BASE_CONFIG))):
         (tmp_path / name).write_bytes(text.encode("utf-16"))  # starts with the bytes ff fe
+    (tmp_path / "cfg-latin1.json").write_bytes('{"out_dir": "café"}'.encode("latin-1"))
     (tmp_path / "e-far.txt").write_text("0 1\n1 9\n")
     (tmp_path / "e-negative.txt").write_text("0 1\n-1 2\n")
     (tmp_path / "s-far.json").write_text(json.dumps({"train": [0, 1], "val": [], "test": [2, 7]}))

@@ -64,6 +64,8 @@ def test_integrate_rejects_unsupported():
         integrate_density(isotropic_spec(1.0, 1.0, 3))
     with pytest.raises(ValueError):
         integrate_density(isotropic_spec(1.0, 1.0, 1), resolution=100)
+    with pytest.raises(ValueError, match="at least two radii"):
+        density_profile(isotropic_spec(1.0, 1.0, 1), 1)
 
 
 def test_change_of_variables_against_numeric_jacobian():

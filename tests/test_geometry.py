@@ -1,8 +1,10 @@
 """Ball primitives: identities, oracles, error contracts."""
+import math
+
 import numpy as np
 import pytest
 
-from helpers import ball_batch
+from helpers import ball_batch, exact_ball_distance
 from hypergcl import geometry as geom
 from hypergcl import tensor as T
 from hypergcl.geometry import Curvature, PoincarePoint
@@ -119,10 +121,27 @@ def test_distance_refuses_mismatched_points():
 
 
 def test_coincident_points_near_the_boundary():
-    # -p (+) p has a Möbius denominator that cancels to 0 here, so this
-    # exact zero comes from the coincident-point shortcut
+    # -p (+) p has a Möbius denominator that cancels to 0 here; the
+    # difference form of `distance` has ||p - p||^2 = 0 in its numerator
     p = PoincarePoint([1.0 - 1e-12, 0.0], C1)
     assert geom.distance(p, p, C1) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        *(([1.0 - 2.0 ** -k1, 0.0], [1.0 - 2.0 ** -k2, 0.0]) for k1, k2 in ((20, 30), (30, 31), (40, 45))),
+        # the Möbius denominator of (-x) (+) y cancels to 0 for this pair
+        ([1.0 - 1e-9, 0.0], [1.0 - 1e-9, 1e-13]),
+        # ||(-x) (+) y|| rounds to the artanh clamp for these, 1e-6 and 1e-8 rad apart
+        *(([1.0 - 1e-9, 0.0], [(1.0 - 1e-9) * math.cos(a), (1.0 - 1e-9) * math.sin(a)]) for a in (1e-6, 1e-8)),
+    ],
+    ids=["radii-1-2^-20-and-2^-30", "radii-1-2^-30-and-2^-31", "radii-1-2^-40-and-2^-45", "1e-13-apart-at-1-1e-9",
+         "1e-6-rad-apart-at-1-1e-9", "1e-8-rad-apart-at-1-1e-9"],
+)
+def test_distance_near_the_boundary_matches_the_exact_value(x, y):
+    got = geom.distance(PoincarePoint(x, C1), PoincarePoint(y, C1), C1)
+    assert got == pytest.approx(exact_ball_distance(x, y), rel=1e-8)
 
 
 def test_distance_symmetry_and_triangle():
@@ -163,29 +182,22 @@ def test_distance_small_curvature_limit():
 def test_projection_examples():
     eps = 1e-5
     inside = np.array([0.3, 0.1])
-    p = geom.project_to_ball(inside, C1, eps)
+    p = geom.project_to_ball(inside, C1)
     assert np.array_equal(p.coords, inside)
 
     z = np.array([2.0, 0.0])
-    p = geom.project_to_ball(z, C1, eps)
+    p = geom.project_to_ball(z, C1)
     assert np.linalg.norm(p.coords) == pytest.approx(1.0 - eps, abs=1e-15)
     assert p.coords[1] == 0.0
 
     # idempotence (up to one ulp of the cap)
-    twice = geom.project_to_ball(p.coords, C1, eps)
+    twice = geom.project_to_ball(p.coords, C1)
     assert np.max(np.abs(twice.coords - p.coords)) < 1e-14
 
     # curvature scales the cap
     c4 = Curvature(4.0)
-    p4 = geom.project_to_ball(z, c4, eps)
+    p4 = geom.project_to_ball(z, c4)
     assert np.linalg.norm(p4.coords) == pytest.approx((1.0 - eps) / 2.0, abs=1e-15)
-
-
-def test_projection_rejects_zero_eps():
-    with pytest.raises(ValueError):
-        geom.project_to_ball(np.array([0.5, 0.0]), C1, 0.0)
-    with pytest.raises(ValueError):
-        geom.project_to_ball(np.array([0.5, 0.0]), C1, 1.0)
 
 
 def test_points_to_matrix_curvature_check():

@@ -160,7 +160,7 @@ def test_augment_config_validation():
 def test_encode_zero_features_give_zero_rows():
     g = Graph(5, [[0, 1], [2, 3]], np.zeros((5, 3)))
     params = init_params(3, 4, 2, seed=0)
-    z = encode(g, params, 1.0, 1e-5)
+    z = encode(g, params, 1.0)
     assert np.array_equal(z.data, np.zeros((5, 2)))
 
 
@@ -171,7 +171,7 @@ def test_encode_edgeless_projection_identity_inside_margin():
     x = rng.standard_normal((6, 3)) * 0.1
     g = Graph(6, [], x)
     params = init_params(3, 4, 2, seed=1, scale=0.5)
-    z = encode(g, params, 1.0, 1e-5)
+    z = encode(g, params, 1.0)
     slope = 0.25
     h = x @ params.theta1.data
     h = np.where(h >= 0, h, slope * h)
@@ -186,7 +186,7 @@ def test_encode_large_weights_hit_the_margin():
     g = small_graph(rng, n=8, d_x=3, p=0.5)
     params = init_params(3, 4, 2, seed=2, scale=100.0)
     eps = 1e-5
-    z = encode(g, params, 1.0, eps)
+    z = encode(g, params, 1.0)
     norms = np.linalg.norm(z.data, axis=1)
     assert np.allclose(norms, 1.0 - eps, atol=1e-12)
 
@@ -195,13 +195,13 @@ def test_encode_permutation_equivariance():
     rng = np.random.default_rng(5)
     g = small_graph(rng, n=12, d_x=4, p=0.3)
     params = init_params(4, 6, 3, seed=3)
-    z = encode(g, params, 1.0, 1e-5).data
+    z = encode(g, params, 1.0).data
     perm = rng.permutation(12)
     inv = np.argsort(perm)
     # relabel nodes: node i becomes perm[i]
     edges = np.column_stack([perm[g.edges[:, 0]], perm[g.edges[:, 1]]])
     gp = Graph(12, edges, g.features[inv])
-    zp = encode(gp, params, 1.0, 1e-5).data
+    zp = encode(gp, params, 1.0).data
     assert np.max(np.abs(zp - z[inv])) < 1e-9
 
 
@@ -212,24 +212,24 @@ def test_encode_gradients_through_smooth_branch():
     eps = 1e-5
     w = rng.standard_normal((6, 2))
 
-    z0 = encode(g, params, 1.0, eps).data
+    z0 = encode(g, params, 1.0).data
     margin = np.abs(np.linalg.norm(z0, axis=1) - (1 - eps))
     assert np.min(margin) > 1e-3  # all rows clear of the projection switch
 
     def with_theta1(t):
         p = init_params(3, 4, 2, seed=4, scale=0.5)
         p.theta1 = t
-        return T.sum_all(T.mul(encode(g, p, 1.0, eps), Tensor(w)))
+        return T.sum_all(T.mul(encode(g, p, 1.0), Tensor(w)))
 
     def with_theta2(t):
         p = init_params(3, 4, 2, seed=4, scale=0.5)
         p.theta2 = t
-        return T.sum_all(T.mul(encode(g, p, 1.0, eps), Tensor(w)))
+        return T.sum_all(T.mul(encode(g, p, 1.0), Tensor(w)))
 
     def with_slope(s):
         p = init_params(3, 4, 2, seed=4, scale=0.5)
         p.slopes = (s, p.slopes[1])
-        return T.sum_all(T.mul(encode(g, p, 1.0, eps), Tensor(w)))
+        return T.sum_all(T.mul(encode(g, p, 1.0), Tensor(w)))
 
     assert finite_diff_check(with_theta1, params.theta1.data) < 1e-5
     assert finite_diff_check(with_theta2, params.theta2.data) < 1e-5

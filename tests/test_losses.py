@@ -142,10 +142,10 @@ def test_naive_uniformity_pushes_points_to_boundary():
     for _ in range(400):
         with Tape() as tape:
             a = Tensor(z)
-            proj = geom.project_rows(a, 1.0, eps)
+            proj = geom.project_rows(a, 1.0)
             loss = uniformity_hyperbolic_naive(proj, 1.0, 1.0)
         z = z - 0.05 * tape.backward(loss).wrt(a)
-    norms = np.linalg.norm(geom.project_rows(Tensor(z), 1.0, eps).data, axis=1)
+    norms = np.linalg.norm(geom.project_rows(Tensor(z), 1.0).data, axis=1)
     assert norms.mean() > 0.99 * (1.0 - eps)
 
 
@@ -262,8 +262,8 @@ def test_full_objective_gradient_on_small_graph():
     def f(theta1):
         p = init_params(3, 4, 2, seed=15, scale=0.5)
         p.theta1 = theta1
-        z1 = encode(g1, p, 1.0, 1e-5)
-        z2 = encode(g2, p, 1.0, 1e-5)
+        z1 = encode(g1, p, 1.0)
+        z2 = encode(g2, p, 1.0)
         return total_loss_parts(z1, z2, w, 1.0, "hypergcl")[0]
 
     assert finite_diff_check(f, params0.theta1.data) < 1e-5

@@ -113,7 +113,7 @@ def _batch(n, d, c, seed, equal, zero, negzero, capped):
         z[rng.random(z.shape) < 0.2] = -0.0
     if capped:
         rows = rng.random(n) < 0.3
-        z[rows] = geom.project_rows(Tensor(z[rows] * 1e6 + 1e-3), c, geom.BALL_MARGIN).data
+        z[rows] = geom.project_rows(Tensor(z[rows] * 1e6 + 1e-3), c).data
     if equal:
         z[rng.integers(0, n, n // 3 + 1)] = z[rng.integers(0, n)]
     return z

@@ -1,6 +1,7 @@
 """The public surface: the README's Python API example and every exported name."""
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -13,6 +14,10 @@ import hypergcl
 def _readme_python_api_block() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split("## Python API", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def _modules() -> list:
+    return [hypergcl, *(importlib.import_module(f"hypergcl.{m.name}") for m in pkgutil.iter_modules(hypergcl.__path__))]
 
 
 def test_readme_example_runs_and_every_export_resolves():
@@ -28,7 +33,31 @@ def test_readme_example_runs_and_every_export_resolves():
     assert values["distance(p, q, c)"] == pytest.approx(2.0 * np.arctanh(0.8), abs=1e-12)
     assert abs(values["integrate_density(spec)"] - 1.0) <= 1e-3
 
-    submodules = [importlib.import_module(f"hypergcl.{m.name}") for m in pkgutil.iter_modules(hypergcl.__path__)]
-    modules = [hypergcl, *submodules]
-    stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    stale = [f"{m.__name__}.{name}" for m in _modules() for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert stale == []
+
+
+# Values that every caller set to one value are module constants (the ball
+# margin, the isotropy jitter, the verify seeds and sample count).  A
+# parameter of one of these names is allowed only where callers pass more
+# than one value.
+RETIRED = ("eps", "jitter", "h", "samples", "seed")
+STILL_SETTABLE = {
+    ("gaussian_kl_tensors", "jitter"),  # 0 gives the exact KL of the oracles and criterion 5
+    ("finite_diff_check", "h"),  # the pair-op checks step by 1e-8 and 1e-6 near the cap
+    # the seeds of a run and of the sampler
+    *((name, "seed") for name in ("AugmentationConfig", "ExperimentConfig", "build_dataset", "init_params",
+                                  "sample_ambient")),
+}
+
+
+def test_no_retired_value_is_a_parameter():
+    found = set()
+    for m in _modules():
+        for name in getattr(m, "__all__", ()):
+            obj = getattr(m, name)
+            if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, BaseException)):
+                continue
+            found.update((f"{m.__name__}.{name}", p) for p in inspect.signature(obj).parameters
+                         if p in RETIRED and (name, p) not in STILL_SETTABLE)
+    assert sorted(found) == []

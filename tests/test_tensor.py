@@ -1,12 +1,11 @@
 """Tape engine: forward semantics, backward correctness, error states."""
-import math
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from helpers import ball_batch
+from helpers import ball_batch, exact_ball_distance
 from hypergcl import geometry as geom
 from hypergcl import tensor as T
 from hypergcl.linalg import NotSPDError, cholesky
@@ -100,6 +99,8 @@ def test_nonfinite_is_an_error_state():
         T.log_mean_exp(Tensor(np.array([1e4])), 1.0)  # overflow
     with pytest.raises(NonFiniteError):
         T.vdiv(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0])))
+    with pytest.raises(NonFiniteError):
+        T.vrecip(Tensor(np.array([0.0, 1.0])))
 
 
 def test_finite_diff_check_sum_of_squares():
@@ -562,16 +563,6 @@ def test_pair_ops_match_gather_reference_in_interior(op):
     assert np.max(np.abs(_off_diagonal(out, 12) - ref) / ref) <= 1e-12
 
 
-def _exact_ball_distance(x, y):
-    """D(x, y) at c = 1 with Delta and a_x a_y in exact rational arithmetic, rounded once."""
-    from fractions import Fraction
-
-    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
-    delta = sum((p - q) ** 2 for p, q in zip(fx, fy))
-    w = float(2 * delta / ((1 - sum(p * p for p in fx)) * (1 - sum(q * q for q in fy))))
-    return math.log1p(w + math.sqrt(w * (w + 2.0)))
-
-
 def test_ball_pair_distances_at_the_cap():
     # Rows on the eps-margin cap: the Möbius reference loses about 2e-7 to
     # cancellation there, while the Gram form only inherits the rounding of
@@ -583,7 +574,7 @@ def test_ball_pair_distances_at_the_cap():
     ref = _gather_pairs(z, "ball_pair_distances")
     assert np.max(np.abs(out - ref) / ref) <= 1e-6
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    exact = np.array([_exact_ball_distance(z[i], z[j]) for i, j in zip(ii, jj)])
+    exact = np.array([exact_ball_distance(z[i], z[j]) for i, j in zip(ii, jj)])
     assert np.max(np.abs(out - exact) / exact) <= 1e-11
 
 
