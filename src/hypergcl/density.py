@@ -131,9 +131,8 @@ def ambient_density_grid(z: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
 
 
 def ambient_density(z, spec: AmbientDensitySpec) -> float:
-    """Density at a single point (PoincarePoint or coordinate vector)."""
-    coords = getattr(z, "coords", z)
-    coords = np.asarray(coords, dtype=float)
+    """Density at a single point, given as its coordinate vector."""
+    coords = np.asarray(z, dtype=float)
     if coords.ndim != 1:
         raise ValueError("ambient_density expects a single point")
     return float(ambient_density_grid(coords[None, :], spec)[0])

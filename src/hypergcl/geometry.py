@@ -9,8 +9,7 @@ the push-forward that the density suite checks the sampler against.
 
 The value helpers are the point-level API: `Curvature` (which also checks
 every `--curvature` flag), `PoincarePoint` and `distance` run in the
-README's example; `project_to_ball` is the projection for one vector, and
-`points_to_matrix` lets `spectral.tangent_moments` take a list of points.
+README's example, and `project_to_ball` is the projection for one vector.
 
 Removable singularities (zero rows) are handled by explicit branches
 rather than jitter, so gradient checks stay exact away from them.
@@ -36,7 +35,6 @@ __all__ = [
     "log0_rows",
     "distance_rows",
     "project_rows",
-    "points_to_matrix",
 ]
 
 # Intermediate Möbius results can graze the boundary numerically even when
@@ -83,17 +81,6 @@ class PoincarePoint:
         return self.coords.shape[0]
 
 
-def points_to_matrix(points) -> np.ndarray:
-    """Stack a sequence of points (all of one curvature) into an (n, d) array."""
-    points = list(points)
-    if not points:
-        raise ValueError("empty point batch")
-    c = points[0].curvature
-    if any(p.curvature != c for p in points):
-        raise ValueError("curvature mismatch inside point batch")
-    return np.stack([p.coords for p in points])
-
-
 # ------------------------------------------------------------------- row API
 
 def mobius_add_rows(u: Tensor, v: Tensor, c: float) -> Tensor:
@@ -102,10 +89,10 @@ def mobius_add_rows(u: Tensor, v: Tensor, c: float) -> Tensor:
     uv = T.rowdot(u, v)
     u2 = T.rownorm2(u)
     v2 = T.rownorm2(v)
-    coef_u = T.sadd(T.smul(uv, 2.0 * c) + T.smul(v2, c), 1.0)
+    coef_u = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(v2, c)), 1.0)
     coef_v = T.sadd(T.smul(u2, -c), 1.0)
-    den = T.sadd(T.smul(uv, 2.0 * c) + T.smul(T.mul(u2, v2), c * c), 1.0)
-    num = T.rowscale(u, coef_u) + T.rowscale(v, coef_v)
+    den = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(T.mul(u2, v2), c * c)), 1.0)
+    num = T.add(T.rowscale(u, coef_u), T.rowscale(v, coef_v))
     return T.rowscale(num, T.vrecip(den))
 
 
@@ -116,8 +103,8 @@ def _scale_rows(v: Tensor, c: float, factor, at_zero: float) -> Tensor:
     """
     n = T.rownorm(v)
     zero = n.data == 0.0
-    n_safe = T.where(~zero, n, T.constant(np.ones_like(n.data)))
-    f = T.where(~zero, factor(n_safe, float(np.sqrt(c))), T.constant(np.full_like(n.data, at_zero)))
+    n_safe = T.where(~zero, n, Tensor(np.ones_like(n.data)))
+    f = T.where(~zero, factor(n_safe, float(np.sqrt(c))), Tensor(np.full_like(n.data, at_zero)))
     return T.rowscale(v, f)
 
 

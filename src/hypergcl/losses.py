@@ -98,7 +98,7 @@ def isotropy_tangent(
     for view in (z, zp):
         mu, sigma = spectral.tangent_moments_tensors(view, float(c))
         kl = spectral.gaussian_kl_tensors(mu, sigma, spectral.DEFAULT_JITTER, target_mean, target_diag)
-        total = kl if total is None else total + kl
+        total = kl if total is None else T.add(total, kl)
     return total
 
 
@@ -161,7 +161,7 @@ def euclidean_align_uniform(z, zp, t: float) -> tuple[Tensor, Tensor]:
     x = _normalize_rows(z)
     xp = _normalize_rows(zp)
     align = T.mean_all(T.rownorm2(T.sub(x, xp)))
-    uniform = T.smul(_euclidean_uniformity(x, t) + _euclidean_uniformity(xp, t), 0.5)
+    uniform = T.smul(T.add(_euclidean_uniformity(x, t), _euclidean_uniformity(xp, t)), 0.5)
     return align, uniform
 
 
@@ -192,16 +192,15 @@ def total_loss_parts(
         align, second = euclidean_align_uniform(y, yp, weights.t)
     elif variant == "hyperbolic-align-only":
         align = alignment_hyperbolic(z, zp, c)
-        second = T.constant(0.0)
+        second = Tensor(0.0)
     elif variant == "hyperbolic-naive-uniformity":
         align = alignment_hyperbolic(z, zp, c)
         second = T.smul(
-            uniformity_hyperbolic_naive(z, weights.t, c)
-            + uniformity_hyperbolic_naive(zp, weights.t, c),
+            T.add(uniformity_hyperbolic_naive(z, weights.t, c), uniformity_hyperbolic_naive(zp, weights.t, c)),
             0.5,
         )
     else:  # hypergcl
         align = alignment_hyperbolic(z, zp, c)
         second = isotropy_tangent(z, zp, c, target_mean=target_mean, target_diag=target_diag)
-    total = align + T.smul(second, lam) if lam != 0.0 else align
+    total = T.add(align, T.smul(second, lam)) if lam != 0.0 else align
     return total, align, second

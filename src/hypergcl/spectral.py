@@ -9,6 +9,9 @@ Effective rank of a rectangular matrix uses its singular values (LAPACK
 SVD); effective rank of a covariance uses the eigenvalues of its symmetric
 part (`np.linalg.eigvalsh`).  The two spectra differ by squaring and a 1/N
 factor, so both are exposed and labeled distinctly.
+The value functions `tangent_moments` and `tree_distortion` take the batch
+as one (n, d) array, one ball point per row, and c as a float or a
+`Curvature`.
 """
 from __future__ import annotations
 
@@ -95,21 +98,13 @@ def tangent_moments_tensors(z: Tensor, c: float) -> tuple[Tensor, Tensor]:
     return mu, sigma
 
 
-def _batch(points, c) -> tuple[np.ndarray, float]:
-    """An (n, d) array from a Tensor, an array or a sequence of points, and c as a float."""
-    if isinstance(points, Tensor):
-        mat = points.data
-    elif isinstance(points, np.ndarray):
-        mat = points
-    else:
-        mat = geom.points_to_matrix(points)
-    return mat, c.c if isinstance(c, geom.Curvature) else float(c)
+def _curvature(c) -> float:
+    return c.c if isinstance(c, geom.Curvature) else float(c)
 
 
-def tangent_moments(z, c) -> CovarianceSummary:
-    """Moments of a batch given as a Tensor, an (n, d) array or a sequence of points."""
-    mat, cval = _batch(z, c)
-    mu, sigma = tangent_moments_tensors(Tensor(mat), cval)
+def tangent_moments(z: np.ndarray, c) -> CovarianceSummary:
+    """Tangent-space moments of an (n, d) array of ball points at curvature c."""
+    mu, sigma = tangent_moments_tensors(Tensor(z), _curvature(c))
     sym = (sigma.data + sigma.data.T) / 2.0
     return CovarianceSummary(mu.data, sym)
 
@@ -164,7 +159,7 @@ def gaussian_kl_tensors(
     d = mu.data.shape[0]
     s = T.add_diag(sigma, jitter)
     if target_diag is None and target_mean == 0.0:
-        out = T.trace(s) + T.neg(T.logdet(s)) + T.dot(mu, mu)
+        out = T.add(T.add(T.trace(s), T.neg(T.logdet(s))), T.dot(mu, mu))
         return T.sadd(out, -float(d))
     diag = np.ones(d) if target_diag is None else np.asarray(target_diag, dtype=float)
     if diag.shape != (d,) or np.any(diag <= 0.0):
@@ -173,7 +168,7 @@ def gaussian_kl_tensors(
     scaled = T.rowscale(s, Tensor(inv_diag))
     delta = T.sadd(mu, -float(target_mean))
     quad = T.dot(delta, T.mul(Tensor(inv_diag), delta))
-    out = T.trace(scaled) + T.neg(T.logdet(s)) + quad
+    out = T.add(T.add(T.trace(scaled), T.neg(T.logdet(s))), quad)
     return T.sadd(out, float(np.sum(np.log(diag))) - float(d))
 
 
@@ -197,8 +192,8 @@ def erank_bound_check(s: CovarianceSummary) -> BoundCheck:
 
 # ---------------------------------------------------------------- distortion
 
-def tree_distortion(tree_dists: np.ndarray, points, c) -> tuple[float, float]:
-    """Max and mean |d_T(i,j) - d_ball(i,j)| over all unordered pairs.
+def tree_distortion(tree_dists: np.ndarray, points: np.ndarray, c) -> tuple[float, float]:
+    """Max and mean |d_T(i,j) - d_ball(i,j)| over all unordered pairs of rows of `points`.
 
     Ball distances come from the Gram-matrix op `T.ball_pair_distances`,
     finite up to the boundary; rows on or outside it raise ValueError.
@@ -211,11 +206,11 @@ def tree_distortion(tree_dists: np.ndarray, points, c) -> tuple[float, float]:
         raise ValueError("tree distance matrix must be symmetric")
     if np.any(np.diag(td) != 0.0):
         raise ValueError("tree distance matrix must have a zero diagonal")
-    mat, cval = _batch(points, c)
-    n = mat.shape[0]
+    z = Tensor(points)
+    n = z.data.shape[0]
     if n != td.shape[0]:
         raise ValueError(f"point count {n} does not match distance matrix {td.shape[0]}")
     iu, ju = np.triu_indices(n, k=1)
-    dd = T.ball_pair_distances(Tensor(mat), cval).data.reshape(n, n)[iu, ju]
+    dd = T.ball_pair_distances(z, _curvature(c)).data.reshape(n, n)[iu, ju]
     err = np.abs(td[iu, ju] - dd)
     return float(np.max(err, initial=0.0)), float(np.mean(err) if err.size else 0.0)

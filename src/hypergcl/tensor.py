@@ -6,6 +6,11 @@ the diagnostics need.  Every op validates that its output is finite
 tape when one is open.  Tapes are per-thread; a training step opens a fresh
 tape, so no graph is retained implicitly between steps.
 
+Ops are called by name only (`add(a, b)`, `smul(x, k)`, ...): a `Tensor`
+has no arithmetic operators, so each node a computation records, and the
+rounding it does, is written where it is recorded.  `backward(tape, out)`
+is the one reverse sweep.
+
 A tape is swept once.  The sweep pops each node as it runs the node's VJP
 and then drops the node's output gradient, so op outputs, the arrays their
 VJPs hold and intermediate gradients are freed during the sweep rather than
@@ -105,40 +110,6 @@ class Tensor:
             raise ValueError("only size-1 tensors convert to float")
         return float(self.data.reshape(()))
 
-    # arithmetic sugar; scalars mean python floats
-    def __add__(self, other):
-        return sadd(self, other) if _is_number(other) else add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sadd(self, -other) if _is_number(other) else sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sadd(neg(self), other) if _is_number(other) else sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return smul(self, other) if _is_number(other) else mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return smul(self, 1.0 / other) if _is_number(other) else vdiv(self, _lift(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating))
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 class _Node:
     __slots__ = ("name", "out", "inputs", "vjp")
@@ -166,9 +137,6 @@ class Tape:
         assert stack and stack[-1] is self
         stack.pop()
         return False
-
-    def backward(self, output: Tensor) -> "Gradients":
-        return backward(self, output)
 
 
 class Gradients:
@@ -241,10 +209,6 @@ def _record(name: str, data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     if stack:
         stack[-1].nodes.append(_Node(name, out, tuple(inputs), vjp))
     return out
-
-
-def constant(x) -> Tensor:
-    return _lift(x)
 
 
 # ---------------------------------------------------------------- elementwise
@@ -330,7 +294,6 @@ def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """Parametric ReLU with a learnable scalar slope."""
-    slope = _lift(slope)
     if slope.data.shape != ():
         raise ValueError("prelu slope must be a scalar tensor")
     pos = x.data >= 0.0
@@ -714,11 +677,6 @@ class SparseMatrix:
         ):
             raise ValueError("SparseMatrix: index out of range")
 
-    def to_dense(self) -> np.ndarray:
-        """Dense copy; duplicate (row, col) entries are summed in COO order."""
-        n, m = self.shape
-        return _scatter_add_rows(self.rows * m + self.cols, self.vals[:, None], n * m).reshape(n, m)
-
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
     """Sparse @ dense.  Gradient flows to the dense side only.
@@ -750,7 +708,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> floa
         out = f(leaf)
     if out.data.shape != ():
         raise ValueError("finite_diff_check requires a scalar-valued function")
-    analytic = tape.backward(out).wrt(leaf)
+    analytic = backward(tape, out).wrt(leaf)
 
     flat = leaf.data.ravel()
     numeric = np.zeros_like(flat)

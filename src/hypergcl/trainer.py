@@ -24,6 +24,7 @@ import numpy as np
 
 from . import geometry as geom
 from . import losses, spectral
+from . import tensor as T
 from .graphnet import (AugmentationConfig, GcnParams, Graph, augment, encode, init_params, load_graph,
                        normalize_adjacency)
 from .losses import LossWeights
@@ -169,12 +170,14 @@ class Adam:
     def step(self, params: list, grads: list) -> list:
         self.t += 1
         out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            mhat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            vhat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        # an update that overflows comes back non-finite, and `train` reports the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (p, g) in enumerate(zip(params, grads)):
+                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+                mhat = self.m[i] / (1.0 - self.beta1 ** self.t)
+                vhat = self.v[i] / (1.0 - self.beta2 ** self.t)
+                out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
         return out
 
 
@@ -366,7 +369,7 @@ def _loss_and_gradients(cfg: ExperimentConfig, g1: Graph, g2: Graph, params: Gcn
             target_mean=cfg.target_mean,
             target_diag=target_diag,
         )
-    grads = tape.backward(parts[0])
+    grads = T.backward(tape, parts[0])
     return [float(p) for p in parts], [grads.wrt(t) for t in params.all_tensors()]
 
 
@@ -394,21 +397,18 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
         )
 
     for step in range(opt.steps):
-        g1 = augment(graph, replace(cfg.augment1, seed=_derived_seed(cfg.augment1.seed, step)))
-        g2 = augment(graph, replace(cfg.augment2, seed=_derived_seed(cfg.augment2.seed, step)))
         try:
+            g1 = augment(graph, replace(cfg.augment1, seed=_derived_seed(cfg.augment1.seed, step)))
+            g2 = augment(graph, replace(cfg.augment2, seed=_derived_seed(cfg.augment2.seed, step)))
             (total, align, second), gs = _loss_and_gradients(cfg, g1, g2, params, target_diag)
+            new = adam.step([t.data for t in params.all_tensors()], gs)
+            params.theta1 = Tensor(new[0])
+            params.theta2 = Tensor(new[1])
+            params.slopes = (Tensor(new[2]), Tensor(new[3]))
+            if step % cfg.log_every == 0 or step == opt.steps - 1:
+                log_record(step, total, align, second)
         except (NonFiniteError, NotSPDError) as e:
             raise NonFiniteLossError(step, str(e), trace) from e
-        new = adam.step([t.data for t in params.all_tensors()], gs)
-        params.theta1 = Tensor(new[0])
-        params.theta2 = Tensor(new[1])
-        params.slopes = (Tensor(new[2]), Tensor(new[3]))
-        if step % cfg.log_every == 0 or step == opt.steps - 1:
-            try:
-                log_record(step, total, align, second)
-            except (NonFiniteError, NotSPDError) as e:
-                raise NonFiniteLossError(step, str(e), trace) from e
     return params, trace
 
 
@@ -469,6 +469,7 @@ def linear_eval(z: np.ndarray, labels: np.ndarray, splits: dict, curvature: Opti
     (pass the curvature); Euclidean embeddings are used as-is.  The probe is
     multinomial, trained deterministically from a zero init by 300 steps of
     full-batch gradient descent at rate 0.5 with an L2 penalty of 1e-4.
+    Embeddings large enough to overflow the probe raise ValueError.
     """
     steps, lr, l2 = 300, 0.5, 1e-4
     z = np.asarray(z, dtype=float)
@@ -480,11 +481,17 @@ def linear_eval(z: np.ndarray, labels: np.ndarray, splits: dict, curvature: Opti
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
     m = xt.shape[0]
-    for _ in range(steps):
-        p = _softmax(xt @ w + b)
-        diff = (p - onehot) / m
-        w -= lr * (xt.T @ diff + l2 * w)
-        b -= lr * diff.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            p = _softmax(xt @ w + b)
+            diff = (p - onehot) / m
+            w -= lr * (xt.T @ diff + l2 * w)
+            b -= lr * diff.sum(axis=0)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise ValueError(
+            f"the linear probe overflowed to non-finite weights; the largest |embedding| entry is "
+            f"{np.max(np.abs(x)):.3g}"
+        )
     pred = np.argmax(x[te] @ w + b, axis=1)
     return float(np.mean(pred == labels[te]))
 

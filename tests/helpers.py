@@ -1,4 +1,5 @@
-"""Shared test utilities: rank correlations, ball sampling, exact ball distances, the KS statistic and perfbench."""
+"""Shared test utilities: rank correlations, ball sampling, exact ball distances, the KS statistic, dense
+references of sparse matrices and perfbench."""
 import importlib.util
 import math
 from fractions import Fraction
@@ -19,6 +20,13 @@ def spearman(x, y) -> float:
         return np.argsort(np.argsort(v))
 
     return pearson(ranks(np.asarray(x, float)), ranks(np.asarray(y, float)))
+
+
+def dense(sp) -> np.ndarray:
+    """Dense copy of a `SparseMatrix`, duplicate (row, col) entries summed in COO order by `np.add.at`."""
+    out = np.zeros(sp.shape)
+    np.add.at(out, (sp.rows, sp.cols), sp.vals)
+    return out
 
 
 def exact_ball_distance(x, y) -> float:

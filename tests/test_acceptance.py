@@ -110,7 +110,7 @@ def test_criterion_2_gradient_suite():
 
         def euclidean(x):
             align, uniform = losses.euclidean_align_uniform(x, zp, t)
-            return align + uniform
+            return T.add(align, uniform)
 
         checks = {
             "euclidean-align-uniform": (euclidean, rng.standard_normal((8, 4))),
@@ -191,7 +191,7 @@ def test_criterion_5_erank_bound_and_descent():
             with Tape() as tape:
                 s = Tensor(sigma)
                 d_val = gaussian_kl_tensors(Tensor(np.zeros(6)), s, jitter=0.0)
-            g = tape.backward(d_val).wrt(s)
+            g = T.backward(tape, d_val).wrt(s)
             sigma = sigma - 0.05 * (g + g.T) / 2.0
             eranks.append(covariance_effective_rank(sigma))
         rhos.append(spearman(np.arange(len(eranks)), eranks))

@@ -104,7 +104,7 @@ _PAIR_OPS_SCRIPT = textwrap.dedent(
             out = op(x)
             loss = T.sum_all(T.mul(out, w))
         sys.stdout.buffer.write(out.data.tobytes())
-        sys.stdout.buffer.write(tape.backward(loss).wrt(x).tobytes())
+        sys.stdout.buffer.write(T.backward(tape, loss).wrt(x).tobytes())
     """
 )
 

@@ -535,10 +535,10 @@ def test_verify_detects_mobius_sign_mutation(monkeypatch, capsys):
         uv = T.rowdot(u, v)
         u2 = T.rownorm2(u)
         v2 = T.rownorm2(v)
-        coef_u = T.sadd(T.smul(uv, 2.0 * c) + T.smul(v2, -c), 1.0)  # wrong sign on c||v||^2
+        coef_u = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(v2, -c)), 1.0)  # wrong sign on c||v||^2
         coef_v = T.sadd(T.smul(u2, -c), 1.0)
-        den = T.sadd(T.smul(uv, 2.0 * c) + T.smul(T.mul(u2, v2), c * c), 1.0)
-        num = T.rowscale(u, coef_u) + T.rowscale(v, coef_v)
+        den = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(T.mul(u2, v2), c * c)), 1.0)
+        num = T.add(T.rowscale(u, coef_u), T.rowscale(v, coef_v))
         return T.rowscale(num, T.vrecip(den))
 
     monkeypatch.setattr(geom, "mobius_add_rows", broken)
@@ -611,8 +611,13 @@ FAILURES = [
      "train_per_class must be >= 1"),
     ("train-absent-dataset-file", "train --config {t}/absent-files.json --out {t}/out", 2, "absent-edges.txt"),
     ("train-nonfinite", "train --config {t}/nonfinite.json --out {t}/out", 3, "non-finite loss at step"),
+    # the first Adam update overflows to inf: the step is named, with no traceback or warning
+    ("train-adam-overflow", "train --config {t}/adam-overflow.json --out {t}/out", 3,
+     "non-finite loss at step 0: tensor initialized with non-finite values"),
     ("eval-absent-file", "eval --embeddings {t}/absent.csv --labels {t}/y.csv --splits {t}/s.json", 2, "absent.csv"),
     ("eval-short-labels", "eval --embeddings {t}/emb.csv --labels {t}/y.csv --splits {t}/s.json", 2, "2 labels for 4"),
+    ("eval-probe-overflow", "eval --embeddings {t}/emb-1e160.csv --labels {t}/y4.csv --splits {t}/s.json", 2,
+     "the linear probe overflowed to non-finite weights; the largest |embedding| entry is 3e+159"),
     *[(f"{cmd}-curvature-{v}", f"{cmd} --embeddings {{t}}/emb.csv{extra} --curvature {v}", 1,
        f"argument --curvature: curvature must be a positive real, got {float(v)}")
       for cmd, extra in (("eval", " --labels {t}/y4.csv --splits {t}/s.json"), ("diagnose", ""))
@@ -724,10 +729,15 @@ def _failure_inputs(tmp_path):
     write_config(tmp_path, extra={"dataset": {"kind": "files", "edges": str(tmp_path / "absent-edges.txt"),
                                               "features": str(tmp_path / "emb.csv")}}, name="absent-files.json")
     write_config(tmp_path, extra={"optimizer": {"learning_rate": 1e160, "steps": 40}}, name="nonfinite.json")
+    write_config(tmp_path, extra={"encoder": {"hidden_dim": 8, "out_dim": 4},
+                                  "optimizer": {"learning_rate": 1.7e308, "steps": 5},
+                                  "dataset": {"kind": "balanced_tree", "branching": 2, "height": 2}},
+                 name="adam-overflow.json")
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "blocker").write_text("")  # a file where a directory should go
     (tmp_path / "zero.csv").write_text("0,0\n0,0\n0,0\n")
     (tmp_path / "emb.csv").write_text("0.1,0.2\n-0.3,0.1\n0.2,-0.2\n0.0,0.3\n")
+    (tmp_path / "emb-1e160.csv").write_text("0.1e160,0.2e160\n-0.3e160,0.1e160\n0.2e160,-0.2e160\n0.0,0.3e160\n")
     (tmp_path / "outside.csv").write_text("3.0,0.0\n0.1,0.2\n0.0,-2.04\n0.0,0.3\n")  # norms 3.0 and 2.04
     (tmp_path / "boundary.csv").write_text("0.1,0.2\n1.0,0.0\n")
     (tmp_path / "y.csv").write_text("label\n0\n1\n")

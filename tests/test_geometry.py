@@ -198,10 +198,3 @@ def test_projection_examples():
     c4 = Curvature(4.0)
     p4 = geom.project_to_ball(z, c4)
     assert np.linalg.norm(p4.coords) == pytest.approx((1.0 - eps) / 2.0, abs=1e-15)
-
-
-def test_points_to_matrix_curvature_check():
-    a = PoincarePoint([0.1, 0.0], C1)
-    b = PoincarePoint([0.2, 0.0], Curvature(2.0))
-    with pytest.raises(ValueError):
-        geom.points_to_matrix([a, b])

@@ -157,7 +157,7 @@ def test_pair_ops_match_the_reference_to_the_bit(batch, wseed):
             loss = T.sum_all(T.mul(out, Tensor(w)))
         value, vjp = ref(z)
         assert _same_bytes(out.data, value)
-        assert _same_bytes(tape.backward(loss).wrt(x), vjp(w))
+        assert _same_bytes(T.backward(tape, loss).wrt(x), vjp(w))
 
 
 @PINNED
@@ -170,7 +170,7 @@ def test_naive_uniformity_matches_the_reference_to_the_bit(batch, t):
     col, vjp = ref_ball_pair_distances(z, c)
     value, gcol = ref_log_mean_exp_pairs(col, z.shape[0], t, np.ones(()))
     assert _same_bytes(u.data, value)
-    assert _same_bytes(tape.backward(u).wrt(x), vjp(gcol))
+    assert _same_bytes(T.backward(tape, u).wrt(x), vjp(gcol))
 
 
 @PINNED
@@ -180,7 +180,7 @@ def test_euclidean_uniformity_matches_the_reference_to_the_bit(batch, t):
     zt, zpt = Tensor(z), Tensor(zp)
     with Tape() as tape:
         _, uniform = euclidean_align_uniform(zt, zpt, t)
-    grads = tape.backward(uniform)
+    grads = T.backward(tape, uniform)
 
     # The row normalization is the library's taped ops; the pair op and the
     # tail are the reference.  uniform = (u + u') / 2 hands each tail 0.5.
@@ -196,7 +196,7 @@ def test_euclidean_uniformity_matches_the_reference_to_the_bit(batch, t):
         gxs.append(vjp(gcol))
     with ref_tape:  # the gradient reaching x is gxs[0] exactly, since 1.0 * g == g
         sweep = T.add(T.sum_all(T.mul(x, Tensor(gxs[0]))), T.sum_all(T.mul(xp, Tensor(gxs[1]))))
-    ref_grads = ref_tape.backward(sweep)
+    ref_grads = T.backward(ref_tape, sweep)
     assert _same_bytes(uniform.data, (values[0] + values[1]) * 0.5)
     assert _same_bytes(grads.wrt(zt), ref_grads.wrt(rt))
     assert _same_bytes(grads.wrt(zpt), ref_grads.wrt(rpt))
@@ -218,7 +218,7 @@ def test_naive_loss_and_backward_hold_at_most_eleven_pair_buffers():
         x, xp = Tensor(z), Tensor(zp)
         with Tape() as tape:
             loss = total_loss_parts(x, xp, LossWeights(3.0, 2.0), 1.0, "hyperbolic-naive-uniformity")[0]
-        tape.backward(loss).wrt(x)
+        T.backward(tape, loss).wrt(x)
 
     step()  # caches the pair index outside the measurement
     tracemalloc.start()

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import inspect
+import operator
 import pkgutil
 from pathlib import Path
 
@@ -61,3 +62,23 @@ def test_no_retired_value_is_a_parameter():
             found.update((f"{m.__name__}.{name}", p) for p in inspect.signature(obj).parameters
                          if p in RETIRED and (name, p) not in STILL_SETTABLE)
     assert sorted(found) == []
+
+
+def test_each_operation_has_one_spelling():
+    # tape ops are called by name (`T.add`, `T.smul`, ...) and swept by `T.backward(tape, out)`
+    from hypergcl import geometry, spectral, tensor
+
+    a = tensor.Tensor(1.0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.matmul):
+        for x, y in ((a, tensor.Tensor(2.0)), (a, 2.0), (2.0, a)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    with pytest.raises(TypeError):
+        -a
+    retired = ((tensor, "constant"), (tensor.Tape, "backward"), (tensor.SparseMatrix, "to_dense"),
+               (geometry, "points_to_matrix"))
+    assert [f"{owner.__name__}.{name}" for owner, name in retired if hasattr(owner, name)] == []
+    # the value API takes an (n, d) array, not a list of points
+    c = geometry.Curvature(1.0)
+    with pytest.raises(TypeError):
+        spectral.tangent_moments([geometry.PoincarePoint([0.1, 0.0], c), geometry.PoincarePoint([0.0, 0.2], c)], c)

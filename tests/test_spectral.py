@@ -58,16 +58,9 @@ def test_moments_errors():
         tangent_moments(bad, 1.0)
 
 
-def test_moments_accept_point_sequences():
-    c = Curvature(1.0)
-    pts = [PoincarePoint([0.1, 0.0], c), PoincarePoint([0.0, 0.2], c), PoincarePoint([-0.1, 0.1], c)]
-    s = tangent_moments(pts, c)
-    assert s.dim == 2
-
-
-def test_moments_accept_tensor_and_curvature():
+def test_moments_accept_curvature():
     z = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1]])
-    s = tangent_moments(Tensor(z), Curvature(1.5))
+    s = tangent_moments(z, Curvature(1.5))
     ref = tangent_moments(z, 1.5)
     assert np.array_equal(s.mu, ref.mu) and np.array_equal(s.sigma, ref.sigma)
 
@@ -228,7 +221,7 @@ def test_kl_descent_raises_covariance_erank():
         with Tape() as tape:
             s = Tensor(sigma)
             d = gaussian_kl_tensors(Tensor(np.zeros(6)), s, jitter=0.0)
-        g = tape.backward(d).wrt(s)
+        g = T.backward(tape, d).wrt(s)
         sigma = sigma - 0.05 * (g + g.T) / 2.0
         eranks.append(covariance_effective_rank(sigma))
     assert spearman(np.arange(len(eranks)), eranks) > 0.9
@@ -307,7 +300,7 @@ def test_tree_distortion_stress_descent_reported():
             z = geom.exp0_rows(t, 1.0)
             d = geom.distance_rows(T.take_rows(z, iu), T.take_rows(z, ju), 1.0)
             loss = T.mean_all(T.mul(T.sub(d, target), T.sub(d, target)))
-        y = y - 0.05 * tape.backward(loss).wrt(t)
+        y = y - 0.05 * T.backward(tape, loss).wrt(t)
     mx, mean = tree_distortion(dist, geom.exp0_rows(Tensor(y), 1.0).data, 1.0)
     assert np.isfinite(mx) and np.isfinite(mean)
     assert 0.0 < mean < mx

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import ball_batch, exact_ball_distance
+from helpers import ball_batch, dense, exact_ball_distance
 from hypergcl import geometry as geom
 from hypergcl import tensor as T
 from hypergcl.linalg import NotSPDError, cholesky
@@ -118,9 +118,8 @@ def test_take_rows_and_spmm_forward_backward():
     assert err < 1e-7
 
     sp = SparseMatrix((4, 5), [0, 1, 2, 3], [1, 0, 3, 2], [2.0, 1.0, 0.5, 1.5])
-    dense = sp.to_dense()
     out = T.spmm(sp, Tensor(x0))
-    assert np.allclose(out.data, dense @ x0, atol=1e-14)
+    assert np.allclose(out.data, dense(sp) @ x0, atol=1e-14)
     w2 = rng.standard_normal((4, 3))
     err = finite_diff_check(lambda t: T.sum_all(T.mul(T.spmm(sp, t), Tensor(w2))), x0)
     assert err < 1e-7
@@ -137,7 +136,7 @@ def test_take_rows_of_an_empty_index():
         out = T.take_rows(x, np.array([], dtype=int))
         total = T.sum_all(out)
     assert out.data.shape == (0, 2) and float(total) == 0.0
-    assert np.array_equal(tape.backward(total).wrt(x), np.zeros((3, 2)))
+    assert np.array_equal(backward(tape, total).wrt(x), np.zeros((3, 2)))
 
 
 def test_cap_rownorms_semantics():
@@ -168,18 +167,6 @@ def test_replay_determinism():
         return backward(tape, y).wrt(x)
 
     assert np.array_equal(run(), run())
-
-
-def test_operator_sugar():
-    a = Tensor(np.array([1.0, 2.0]))
-    b = Tensor(np.array([3.0, 4.0]))
-    assert np.array_equal((a + b).data, [4.0, 6.0])
-    assert np.array_equal((a - b).data, [-2.0, -2.0])
-    assert np.array_equal((a * b).data, [3.0, 8.0])
-    assert np.array_equal((a * 2.0).data, [2.0, 4.0])
-    assert np.array_equal((a / 2.0).data, [0.5, 1.0])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
-    assert float(T.sum_all(a)) == 3.0
 
 
 def test_no_tape_means_no_recording():
@@ -224,16 +211,6 @@ def test_scatter_add_rows_negative_zero_entries():
     v = np.full((3, 2), -0.0)
     out = T._scatter_add_rows(np.array([1, 1, 0]), v, 3)
     assert _same_bits(out, _add_at_reference(np.array([1, 1, 0]), v, 3))
-
-
-def test_to_dense_sums_duplicate_entries():
-    rows, cols = [0, 2, 0, 1, 0], [1, 0, 1, 1, 1]
-    vals = [0.1, 2.0, 0.2, -1.0, 1e-17]
-    sp = SparseMatrix((3, 2), rows, cols, vals)
-    ref = np.zeros((3, 2))
-    np.add.at(ref, (np.array(rows), np.array(cols)), np.array(vals))
-    assert _same_bits(sp.to_dense(), ref)
-    assert sp.to_dense()[0, 1] == (0.0 + 0.1 + 0.2) + 1e-17
 
 
 def test_sparse_matrix_rejects_negative_index():
@@ -592,7 +569,7 @@ def test_pair_ops_equal_rows_are_exactly_zero_and_pass_no_gradient(op):
             x = Tensor(z)
             out = PAIR_OPS[op](x)
             loss = T.sum_all(T.mul(out, Tensor(weights)))
-        return out.data.reshape(n, n), tape.backward(loss).wrt(x)
+        return out.data.reshape(n, n), backward(tape, loss).wrt(x)
 
     vals, g = grad(w)
     assert np.all(vals[same] == 0.0) and np.all(vals[~same] > 0.0)
@@ -606,7 +583,7 @@ def test_pair_ops_equal_rows_are_exactly_zero_and_pass_no_gradient(op):
         out = PAIR_OPS[op](x)
         loss = T.sum_all(out)
     assert np.all(out.data == 0.0)
-    assert np.all(tape.backward(loss).wrt(x) == 0.0)
+    assert np.all(backward(tape, loss).wrt(x) == 0.0)
 
 
 def _pair_delta_by_label_mask(z):
