@@ -18,7 +18,7 @@ from .spectral import (
 )
 from .density import (
     AmbientDensitySpec,
-    ambient_density,
+    ambient_density_grid,
     density_profile,
     integrate_density,
     sample_ambient,
@@ -65,7 +65,7 @@ __all__ = [
     "tangent_moments",
     "tree_distortion",
     "AmbientDensitySpec",
-    "ambient_density",
+    "ambient_density_grid",
     "density_profile",
     "integrate_density",
     "sample_ambient",

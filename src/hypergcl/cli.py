@@ -7,10 +7,11 @@ The config's keys, their types and their defaults are read from the config
 dataclasses (`trainer.ExperimentConfig`, those it nests and the dataset
 classes in `trainer.DATASET_KINDS`); this module states none of them.
 
-Exit codes: 0 success, 1 config/usage error, 2 dataset-file or output-path error,
-3 non-finite loss, 4 failed verification property.  The commands raise and
-`main` alone turns a failure into an exit code and one `error: ...` line:
-`ConfigError` is 1, any other `ValueError` or `OSError` is 2 and
+Exit codes: 0 success, 1 config/usage error, 2 dataset-file, output-path or
+out-of-memory error, 3 non-finite loss or update, 4 failed verification
+property.  The commands raise and `main` alone turns a failure into an exit
+code and one `error: ...` line: `ConfigError` is 1, any other `ValueError`
+or `OSError` is 2, a `MemoryError` is 2 (`error: out of memory: ...`) and
 `NonFiniteLossError` is 3; a command returns 4 itself when properties fail.
 A command-line usage error is a `ConfigError` too.  Every other exception
 propagates.
@@ -223,7 +224,7 @@ def _write_json(path, obj) -> None:
 def _write_diagnostic(out_dir: str, e: NonFiniteLossError) -> None:
     _write_json(
         os.path.join(out_dir, "diagnostic.json"),
-        {"error": "non-finite loss", "step": e.step, "reason": e.reason},
+        {"error": f"non-finite {e.stage}", "step": e.step, "reason": e.reason},
     )
 
 
@@ -312,14 +313,14 @@ def cmd_diagnose(args) -> int:
 
 def cmd_density(args) -> int:
     if args.dim not in (1, 2):
-        raise ConfigError(f"unsupported dimension {args.dim} (quadrature supports 1 and 2)")
+        raise ConfigError(f"unsupported dimension {args.dim} (--dim must be 1 or 2)")
     # the parser has checked curvature and dim is checked above, so a
     # ValueError here is about sigma
     try:
         spec = density.isotropic_spec(args.sigma, args.curvature, args.dim)
     except ValueError as e:
         raise ConfigError(f"--sigma {args.sigma}: {e}") from e
-    integral = density.integrate_density(spec)  # fixed grids: 2048 cells per axis, 256 radii
+    integral = density.integrate_density(spec)  # fixed: 2048 cells in tangent radius, 256 radii
     density.write_profile_csv(args.out, density.density_profile(spec, 256))
     print(f"integral={integral:.6f}")
     return EXIT_OK
@@ -456,6 +457,8 @@ def main(argv=None) -> int:
         code, err = EXIT_NONFINITE, e
     except (ValueError, OSError) as e:
         code, err = EXIT_DATA, e
+    except MemoryError as e:  # an array the machine cannot allocate, from the config's sizes
+        code, err = EXIT_DATA, f"out of memory: {e}"
     print(f"error: {err}", file=sys.stderr)
     return code
 

@@ -66,11 +66,17 @@ SWEEP_AXES = {
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted on a non-finite loss; carries the failing step."""
+    """Training aborted on a non-finite value; carries the failing step and stage.
 
-    def __init__(self, step: int, reason: str, trace: "TrainingTrace"):
-        super().__init__(f"non-finite loss at step {step}: {reason}")
+    The stage is "update" for the Adam update and the rebuilt parameters, and
+    "loss" for the rest of a step: augmentation, loss and gradients, and the
+    logged record.
+    """
+
+    def __init__(self, step: int, stage: str, reason: str, trace: "TrainingTrace"):
+        super().__init__(f"non-finite {stage} at step {step}: {reason}")
         self.step = step
+        self.stage = stage
         self.reason = reason
         self.trace = trace
 
@@ -397,18 +403,21 @@ def train(cfg: ExperimentConfig, graph: Optional[Graph] = None):
         )
 
     for step in range(opt.steps):
+        stage = "loss"
         try:
             g1 = augment(graph, replace(cfg.augment1, seed=_derived_seed(cfg.augment1.seed, step)))
             g2 = augment(graph, replace(cfg.augment2, seed=_derived_seed(cfg.augment2.seed, step)))
             (total, align, second), gs = _loss_and_gradients(cfg, g1, g2, params, target_diag)
+            stage = "update"
             new = adam.step([t.data for t in params.all_tensors()], gs)
             params.theta1 = Tensor(new[0])
             params.theta2 = Tensor(new[1])
             params.slopes = (Tensor(new[2]), Tensor(new[3]))
+            stage = "loss"  # the logged record encodes with the new parameters, as the next loss will
             if step % cfg.log_every == 0 or step == opt.steps - 1:
                 log_record(step, total, align, second)
         except (NonFiniteError, NotSPDError) as e:
-            raise NonFiniteLossError(step, str(e), trace) from e
+            raise NonFiniteLossError(step, stage, str(e), trace) from e
     return params, trace
 
 

@@ -325,18 +325,13 @@ def density_suite() -> list:
         )
 
     spec = density.isotropic_spec(0.8, 1.0, 2)
-    vals = [
-        density.ambient_density(np.array([1.0, 0.0]), spec),
-        density.ambient_density(np.array([0.9, 0.9]), spec),
-        density.ambient_density_grid(np.array([[0.0, 1.0], [2.0, 0.0]]), spec).tolist(),
-    ]
-    flat = [vals[0], vals[1]] + vals[2]
+    vals = density.ambient_density_grid(np.array([[1.0, 0.0], [0.9, 0.9], [0.0, 1.0], [2.0, 0.0]]), spec).tolist()
     out.append(
         _result(
             "density",
             "boundary-guard-zero",
-            all(v == 0.0 for v in flat),
-            f"densities at/outside boundary: {flat}",
+            all(v == 0.0 for v in vals),
+            f"densities at/outside boundary: {vals}",
         )
     )
 

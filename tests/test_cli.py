@@ -88,6 +88,19 @@ def test_train_unwritable_out_dir(tmp_path, capsys):
     assert rc == 2
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # stands in for a 9 TiB `np.arange` from a height-25 tree: a real request
+    # that large may be granted by an overcommitting kernel and then filled
+    def too_big(spec, seed):
+        raise MemoryError("Unable to allocate 9.25 TiB for an array with shape (1270932914163,)")
+
+    monkeypatch.setattr(cli, "build_dataset", too_big)
+    assert cli.main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 9.25 TiB for an array with shape (1270932914163,)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_nonfinite_exit_code(tmp_path):
     cfg = write_config(tmp_path, extra={"optimizer": {"learning_rate": 1e160, "steps": 40}})
     out = tmp_path / "boom"
@@ -611,9 +624,9 @@ FAILURES = [
      "train_per_class must be >= 1"),
     ("train-absent-dataset-file", "train --config {t}/absent-files.json --out {t}/out", 2, "absent-edges.txt"),
     ("train-nonfinite", "train --config {t}/nonfinite.json --out {t}/out", 3, "non-finite loss at step"),
-    # the first Adam update overflows to inf: the step is named, with no traceback or warning
+    # the first Adam update overflows to inf: the update and the step are named, with no traceback or warning
     ("train-adam-overflow", "train --config {t}/adam-overflow.json --out {t}/out", 3,
-     "non-finite loss at step 0: tensor initialized with non-finite values"),
+     "non-finite update at step 0: tensor initialized with non-finite values"),
     ("eval-absent-file", "eval --embeddings {t}/absent.csv --labels {t}/y.csv --splits {t}/s.json", 2, "absent.csv"),
     ("eval-short-labels", "eval --embeddings {t}/emb.csv --labels {t}/y.csv --splits {t}/s.json", 2, "2 labels for 4"),
     ("eval-probe-overflow", "eval --embeddings {t}/emb-1e160.csv --labels {t}/y4.csv --splits {t}/s.json", 2,
@@ -793,7 +806,9 @@ def test_every_failure_gets_its_exit_code_and_one_error_line(tmp_path, capsys, c
         # refused before anything is written: no output directory, so no resolved_config.json
         assert not (tmp_path / "out").exists()
     if code == 3:
-        assert json.loads((tmp_path / "out" / "diagnostic.json").read_text())["error"] == "non-finite loss"
+        # "non-finite loss" or "non-finite update", as the row's line says
+        error = message.split(" at step")[0]
+        assert json.loads((tmp_path / "out" / "diagnostic.json").read_text())["error"] == error
         assert (tmp_path / "out" / "trace.csv").exists() == command.startswith("train")  # train's partial trace
 
 

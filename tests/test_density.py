@@ -9,7 +9,6 @@ from helpers import ks_statistic
 from hypergcl import density
 from hypergcl.density import (
     AmbientDensitySpec,
-    ambient_density,
     ambient_density_grid,
     density_profile,
     integrate_density,
@@ -25,7 +24,7 @@ from hypergcl.linalg import NotSPDError
 def test_density_at_origin_one_dim():
     spec = isotropic_spec(1.0, 1.0, 1)
     # g(0) = 1, lambda(0) = 2, power d-1 = 0: 0.5 * (1/sqrt(2pi)) * 2
-    assert ambient_density(np.zeros(1), spec) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-14)
+    assert ambient_density_grid(np.zeros((1, 1)), spec)[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-14)
 
 
 def test_spec_validation():
@@ -54,16 +53,18 @@ def test_integral_one_dim_tight():
     assert integrate_density(isotropic_spec(0.3, 1.0, 1)) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_integral_anisotropic_tiny_eigenvalue():
-    spec = AmbientDensitySpec(np.zeros(2), np.diag([1.0, 1e-4]), Curvature(1.0))
-    assert integrate_density(spec) == pytest.approx(1.0, abs=1e-2)
+@pytest.mark.parametrize("sigma, c, d, tol", [(3.0, 1.0, 1, 1e-3), (3.0, 1.0, 2, 1e-3), (1e-3, 1.0, 2, 1e-3),
+                                              (0.62, 1.0, 16, 1e-6)])
+def test_integral_resolves_boundary_mass_narrow_specs_and_any_dim(sigma, c, d, tol):
+    # the cells are uniform in tangent radius: mass exp0 piles up near the
+    # boundary (sigma = 3) and a narrow spike (sigma = 1e-3) both fall in cells
+    assert abs(integrate_density(isotropic_spec(sigma, c, d)) - 1.0) <= tol
 
 
 def test_integrate_rejects_unsupported():
-    with pytest.raises(ValueError):
-        integrate_density(isotropic_spec(1.0, 1.0, 3))
-    with pytest.raises(ValueError):
-        integrate_density(isotropic_spec(1.0, 1.0, 1), resolution=100)
+    # a non-radial density has no one-ray integral
+    with pytest.raises(ValueError, match="integrate_density requires an isotropic covariance"):
+        integrate_density(AmbientDensitySpec(np.zeros(2), np.diag([1.0, 1e-4]), Curvature(1.0)))
     with pytest.raises(ValueError, match="at least two radii"):
         density_profile(isotropic_spec(1.0, 1.0, 1), 1)
 
@@ -91,8 +92,25 @@ def test_change_of_variables_against_numeric_jacobian():
             z = exp0(y)
             pn = np.exp(-0.5 * (y @ y) / 0.81) / (2 * np.pi * 0.81) ** (d / 2.0)
             want = pn / det_exp  # density transforms by the inverse Jacobian
-            got = ambient_density(z, spec)
+            got = ambient_density_grid(z[None, :], spec)[0]
             assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_mvn_logpdf_of_a_general_spec(d):
+    # against -(d log 2 pi + log det sigma + (y - mu)^T sigma^-1 (y - mu)) / 2
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    sigma = a @ a.T + 0.5 * np.eye(d)
+    mu = rng.standard_normal(d)
+    y = mu + 2.0 * rng.standard_normal((50, d))
+    diff = y - mu
+    quad = np.sum(diff * np.linalg.solve(sigma, diff.T).T, axis=1)
+    sign, logdet = np.linalg.slogdet(sigma)
+    assert sign == 1.0
+    want = -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    got = density._mvn_logpdf(y, AmbientDensitySpec(mu, sigma, Curvature(1.0)))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_sampler_degenerate_covariance():
@@ -171,10 +189,18 @@ def test_radial_cdf_matches_the_quadrature_of_the_density(sigma, c, d):
 
 def test_boundary_guard_exact_zero():
     spec = isotropic_spec(0.8, 1.0, 2)
-    assert ambient_density(np.array([1.0, 0.0]), spec) == 0.0
-    assert ambient_density(np.array([1.2, 0.5]), spec) == 0.0
-    grid = ambient_density_grid(np.array([[0.0, 1.0], [5.0, 0.0], [0.1, 0.1]]), spec)
-    assert grid[0] == 0.0 and grid[1] == 0.0 and grid[2] > 0.0
+    grid = ambient_density_grid(np.array([[1.0, 0.0], [1.2, 0.5], [0.0, 1.0], [5.0, 0.0], [0.1, 0.1]]), spec)
+    assert grid[:4].tolist() == [0.0] * 4 and grid[4] > 0.0
+    # unit vectors moved by up to 3 ulps: zero exactly at or outside the boundary
+    for d in (2, 3):
+        spec = isotropic_spec(1.0, 1.0, d)
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((2000, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = z + rng.integers(-3, 4, z.shape) * np.spacing(z)
+        outside = np.sum(z * z, axis=1) >= 1.0
+        assert 0 < np.count_nonzero(outside) < z.shape[0]
+        assert np.array_equal(ambient_density_grid(z, spec) == 0.0, outside)
 
 
 def test_profile_shapes():
@@ -210,8 +236,9 @@ def test_profile_rejects_anisotropic_and_shifted():
     [
         ("radial_cdf", lambda spec: radial_cdf(spec, np.linspace(0.0, 0.5, 10))),
         ("density_profile", lambda spec: density_profile(spec, 10)),
+        ("integrate_density", integrate_density),
     ],
-    ids=["radial_cdf", "density_profile"],
+    ids=["radial_cdf", "density_profile", "integrate_density"],
 )
 def test_radial_functions_share_one_isotropy_rule(name, call):
     # a relative anisotropy of 1e-7 is refused by both, each naming itself
@@ -219,20 +246,6 @@ def test_radial_functions_share_one_isotropy_rule(name, call):
         call(AmbientDensitySpec(np.zeros(2), np.diag([1.0, 1.0 + 1e-7]), Curvature(1.0)))
     with pytest.raises(ValueError, match=f"{name} requires a zero mean"):
         call(AmbientDensitySpec(np.array([0.0, 1e-9]), np.eye(2), Curvature(1.0)))
-
-
-def test_single_point_density_follows_the_grid_at_the_boundary():
-    # unit vectors moved by up to 3 ulps: the single-point evaluator decides
-    # inside/outside exactly as the grid does
-    for d in (2, 3):
-        spec = isotropic_spec(1.0, 1.0, d)
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal((2000, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        z = z + rng.integers(-3, 4, z.shape) * np.spacing(z)
-        grid = ambient_density_grid(z, spec)
-        assert 0 < np.count_nonzero(grid) < z.shape[0]
-        assert np.array_equal([ambient_density(p, spec) for p in z], grid)
 
 
 def test_sigma_is_factored_once_per_spec(monkeypatch):
@@ -244,11 +257,11 @@ def test_sigma_is_factored_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(density, "cholesky", counting)
     spec = isotropic_spec(0.8, 1.0, 2)
-    integrate_density(spec, resolution=256)
+    integrate_density(spec)
     sample_ambient(10, spec, seed=0)
     radial_cdf(spec, np.linspace(0.0, 0.9, 5))
     density_profile(spec, 10)
-    ambient_density(np.array([0.1, 0.2]), spec)
+    ambient_density_grid(np.array([[0.1, 0.2]]), spec)
     assert len(calls) == 1
     assert np.allclose(spec.chol @ spec.chol.T, spec.sigma, rtol=0.0, atol=1e-15)
     with pytest.raises(dataclasses.FrozenInstanceError):

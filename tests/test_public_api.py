@@ -39,10 +39,10 @@ def test_readme_example_runs_and_every_export_resolves():
 
 
 # Values that every caller set to one value are module constants (the ball
-# margin, the isotropy jitter, the verify seeds and sample count).  A
-# parameter of one of these names is allowed only where callers pass more
-# than one value.
-RETIRED = ("eps", "jitter", "h", "samples", "seed")
+# margin, the isotropy jitter, the verify seeds and sample count, the
+# density integral's cell count).  A parameter of one of these names is
+# allowed only where callers pass more than one value.
+RETIRED = ("eps", "jitter", "h", "samples", "seed", "resolution")
 STILL_SETTABLE = {
     ("gaussian_kl_tensors", "jitter"),  # 0 gives the exact KL of the oracles and criterion 5
     ("finite_diff_check", "h"),  # the pair-op checks step by 1e-8 and 1e-6 near the cap
@@ -66,7 +66,7 @@ def test_no_retired_value_is_a_parameter():
 
 def test_each_operation_has_one_spelling():
     # tape ops are called by name (`T.add`, `T.smul`, ...) and swept by `T.backward(tape, out)`
-    from hypergcl import geometry, spectral, tensor
+    from hypergcl import density, geometry, spectral, tensor
 
     a = tensor.Tensor(1.0)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.matmul):
@@ -76,7 +76,7 @@ def test_each_operation_has_one_spelling():
     with pytest.raises(TypeError):
         -a
     retired = ((tensor, "constant"), (tensor.Tape, "backward"), (tensor.SparseMatrix, "to_dense"),
-               (geometry, "points_to_matrix"))
+               (geometry, "points_to_matrix"), (density, "ambient_density"))
     assert [f"{owner.__name__}.{name}" for owner, name in retired if hasattr(owner, name)] == []
     # the value API takes an (n, d) array, not a list of points
     c = geometry.Curvature(1.0)
