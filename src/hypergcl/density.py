@@ -106,7 +106,8 @@ def _mvn_logpdf(y: np.ndarray, spec: AmbientDensitySpec) -> np.ndarray:
     """log N(y; mu, sigma) per row of y, from the spec's Cholesky factor."""
     logdet = 2.0 * np.sum(np.log(np.diag(spec.chol)))
     w = np.linalg.solve(spec.chol, (y - spec.mu).T)
-    quad = np.sum(w * w, axis=0)
+    with np.errstate(over="ignore"):  # far outside a narrow spec, quad is +inf and the density 0
+        quad = np.sum(w * w, axis=0)
     return -0.5 * (spec.dim * np.log(2.0 * np.pi) + logdet + quad)
 
 

@@ -5,7 +5,9 @@ row, built from taped ops, so the encoder and the losses differentiate
 straight through them.  The method needs four of them: the ball distance
 for alignment (`distance_rows`, through `mobius_add_rows`), log0 for the
 tangent moments, the eps-margin projection of every embedding, and exp0,
-the push-forward that the density suite checks the sampler against.
+the push-forward that the density suite checks the sampler against.  The
+ones on the training step's loss path are one tape node each
+(`T.mobius_add`, `T.origin_distance`, `T.log0`).
 
 The value helpers are the point-level API: `Curvature` (which also checks
 every `--curvature` flag), `PoincarePoint` and `distance` run in the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ARTANH_CLAMP, Tensor
 
 __all__ = [
     "ARTANH_CLAMP",
@@ -36,12 +38,6 @@ __all__ = [
     "distance_rows",
     "project_rows",
 ]
-
-# Intermediate Möbius results can graze the boundary numerically even when
-# all inputs are interior; artanh arguments are clamped below 1 before
-# evaluation.
-ARTANH_CLAMP = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class Curvature:
@@ -84,16 +80,8 @@ class PoincarePoint:
 # ------------------------------------------------------------------- row API
 
 def mobius_add_rows(u: Tensor, v: Tensor, c: float) -> Tensor:
-    """Row-wise Möbius addition u (+) v in the standard gyrovector form."""
-    c = float(c)
-    uv = T.rowdot(u, v)
-    u2 = T.rownorm2(u)
-    v2 = T.rownorm2(v)
-    coef_u = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(v2, c)), 1.0)
-    coef_v = T.sadd(T.smul(u2, -c), 1.0)
-    den = T.sadd(T.add(T.smul(uv, 2.0 * c), T.smul(T.mul(u2, v2), c * c)), 1.0)
-    num = T.add(T.rowscale(u, coef_u), T.rowscale(v, coef_v))
-    return T.rowscale(num, T.vrecip(den))
+    """Row-wise Möbius addition u (+) v in the standard gyrovector form, one tape node."""
+    return T.mobius_add(u, v, float(c))
 
 
 def _scale_rows(v: Tensor, c: float, factor, at_zero: float) -> Tensor:
@@ -108,11 +96,6 @@ def _scale_rows(v: Tensor, c: float, factor, at_zero: float) -> Tensor:
     return T.rowscale(v, f)
 
 
-def _artanh_scaled(n: Tensor, sc: float) -> Tensor:
-    """artanh(sqrt(c) n), with the argument clamped below the boundary."""
-    return T.artanh(T.clip(T.smul(n, sc), 0.0, ARTANH_CLAMP))
-
-
 def exp0_rows(v: Tensor, c: float) -> Tensor:
     """Exponential map at the origin, rows of tangent vectors -> ball points."""
 
@@ -124,15 +107,13 @@ def exp0_rows(v: Tensor, c: float) -> Tensor:
 
 
 def log0_rows(z: Tensor, c: float) -> Tensor:
-    """Logarithmic map at the origin, rows of ball points -> tangent vectors."""
-    return _scale_rows(z, c, lambda n, sc: T.vdiv(_artanh_scaled(n, sc), T.smul(n, sc)), 1.0)
+    """Logarithmic map at the origin, rows of ball points -> tangent vectors, one tape node."""
+    return T.log0(z, float(c))
 
 
 def distance_rows(p: Tensor, q: Tensor, c: float) -> Tensor:
     """Riemannian distance per row: (2/sqrt(c)) artanh(sqrt(c) ||-p (+) q||)."""
-    sc = float(np.sqrt(c))
-    m = mobius_add_rows(T.neg(p), q, c)
-    return T.smul(_artanh_scaled(T.rownorm(m), sc), 2.0 / sc)
+    return T.origin_distance(mobius_add_rows(T.neg(p), q, c), float(c))
 
 
 # The eps of the eps-margin ball that embeddings are projected into: row

@@ -93,9 +93,7 @@ def tangent_moments_tensors(z: Tensor, c: float) -> tuple[Tensor, Tensor]:
         raise ValueError("moments: some rows lie outside the ball")
     y = geom.log0_rows(z, c)
     mu = T.batch_mean(y)
-    centered = T.sub_rowvec(y, mu)
-    sigma = T.smul(T.matmul(T.transpose(centered), centered), 1.0 / n)
-    return mu, sigma
+    return mu, T.covariance(y, mu)
 
 
 def _curvature(c) -> float:
@@ -151,25 +149,13 @@ def gaussian_kl_tensors(
 ) -> Tensor:
     """KL-derived match term against N(target_mean * 1, diag(target_diag)).
 
-    With the defaults this is exactly tr(S) - logdet(S) - d + ||mu||^2 with
-    S = sigma + jitter * I.  The generalized reference (nonzero mean vector
-    m * 1, diagonal covariance) expands to
-    tr(D^-1 S) - logdet(S) + logdet(D) - d + (mu - m1)^T D^-1 (mu - m1).
+    With S = sigma + jitter * I, it is
+    tr(D^-1 S) - logdet(S) + logdet(D) - d + (mu - m1)^T D^-1 (mu - m1),
+    which with the defaults is exactly tr(S) - logdet(S) - d + ||mu||^2.
+    Three tape nodes: `add_diag`, `logdet` and the match `T.gaussian_match`.
     """
-    d = mu.data.shape[0]
     s = T.add_diag(sigma, jitter)
-    if target_diag is None and target_mean == 0.0:
-        out = T.add(T.add(T.trace(s), T.neg(T.logdet(s))), T.dot(mu, mu))
-        return T.sadd(out, -float(d))
-    diag = np.ones(d) if target_diag is None else np.asarray(target_diag, dtype=float)
-    if diag.shape != (d,) or np.any(diag <= 0.0):
-        raise ValueError("target covariance diagonal must be positive with matching dim")
-    inv_diag = 1.0 / diag
-    scaled = T.rowscale(s, Tensor(inv_diag))
-    delta = T.sadd(mu, -float(target_mean))
-    quad = T.dot(delta, T.mul(Tensor(inv_diag), delta))
-    out = T.add(T.add(T.trace(scaled), T.neg(T.logdet(s))), quad)
-    return T.sadd(out, float(np.sum(np.log(diag))) - float(d))
+    return T.gaussian_match(s, T.logdet(s), mu, target_mean, target_diag)
 
 
 def gaussian_kl(s: CovarianceSummary) -> float:

@@ -22,8 +22,17 @@ One finiteness rule serves `Tensor(...)` and every op, `_all_finite`: a 0-d
 array is tested with `math.isfinite`, anything larger with one
 `logical_and` reduction over `np.isfinite`.  Neither can overflow or warn,
 so huge finite values pass and exactly the arrays holding NaN or +-inf are
-refused.  `logdet` factors its matrix once and reuses the factor for the
-inverse its gradient needs.
+refused.  Every op whose arithmetic can overflow computes it under
+`np.errstate(all="ignore")`, so a finite input whose result overflows
+raises `NonFiniteError` (or the op's `ValueError`), not a `RuntimeWarning`
+first.  `logdet` factors its matrix once and reuses the
+factor for the inverse its gradient needs.
+
+Five ops record, as one node each, a chain of the ops here that the losses
+run every step: `mobius_add` (19 ops), `origin_distance` (5), `log0` (9),
+`covariance` (4) and `gaussian_match` (6, or 9 for a non-default target).
+They keep the chain's rounding in both directions, so a training run
+writes the same bytes as with the chains (see "fused chains" below).
 
 Two all-pairs ops, `pair_sqdist` and `ball_pair_distances`, take an (n, d)
 batch and return an (n*n, 1) column whose row i*n + j holds the value for
@@ -45,7 +54,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -199,10 +208,14 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
     return Gradients(acc)
 
 
-def _record(name: str, data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-    arr = np.asarray(data, dtype=float)
+def _check(name: str, arr: np.ndarray) -> None:
     if not _all_finite(arr):
         raise NonFiniteError(f"op '{name}' produced non-finite values")
+
+
+def _record(name: str, data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+    arr = np.asarray(data, dtype=float)
+    _check(name, arr)
     out = Tensor.__new__(Tensor)
     out.data = arr
     stack = getattr(_LOCAL, "stack", None)
@@ -220,23 +233,29 @@ def _same_shape(a: Tensor, b: Tensor, opname: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
+    with np.errstate(all="ignore"):
+        y = a.data + b.data
+    return _record("add", y, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    return _record("sub", a.data - b.data, (a, b), lambda g: (g, -g))
+    with np.errstate(all="ignore"):
+        y = a.data - b.data
+    return _record("sub", y, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product."""
     _same_shape(a, b, "mul")
-    return _record("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    with np.errstate(all="ignore"):
+        y = a.data * b.data
+    return _record("mul", y, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def vdiv(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "vdiv")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         y = a.data / b.data
     return _record("vdiv", y, (a, b), lambda g: (g / b.data, -g * y / b.data))
 
@@ -247,12 +266,16 @@ def neg(a: Tensor) -> Tensor:
 
 def smul(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _record("smul", a.data * k, (a,), lambda g: (g * k,))
+    with np.errstate(all="ignore"):
+        y = a.data * k
+    return _record("smul", y, (a,), lambda g: (g * k,))
 
 
 def sadd(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _record("sadd", a.data + k, (a,), lambda g: (g,))
+    with np.errstate(all="ignore"):
+        y = a.data + k
+    return _record("sadd", y, (a,), lambda g: (g,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -267,7 +290,7 @@ def artanh(a: Tensor) -> Tensor:
 
 
 def vrecip(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
         y = 1.0 / a.data
     return _record("vrecip", y, (a,), lambda g: (-g * y * y,))
 
@@ -297,7 +320,7 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
     if slope.data.shape != ():
         raise ValueError("prelu slope must be a scalar tensor")
     pos = x.data >= 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         y = np.where(pos, x.data, float(slope.data) * x.data)
 
     def vjp(g):
@@ -312,20 +335,17 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
-    return _record(
-        "sum", np.add.reduce(a.data, axis=None), (a,), lambda g: (np.full(shape, float(g)),)
-    )
+    with np.errstate(all="ignore"):
+        y = np.add.reduce(a.data, axis=None)
+    return _record("sum", y, (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     shape = a.data.shape
     n = a.data.size
-    return _record(
-        "mean",
-        np.add.reduce(a.data, axis=None) / n,
-        (a,),
-        lambda g: (np.full(shape, float(g) / n),),
-    )
+    with np.errstate(all="ignore"):
+        y = np.add.reduce(a.data, axis=None) / n
+    return _record("mean", y, (a,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def log_mean_exp(a: Tensor, k: float) -> Tensor:
@@ -335,7 +355,7 @@ def log_mean_exp(a: Tensor, k: float) -> Tensor:
     of these roundings is part of the uniformities' training bits.
     """
     k = float(k)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         y = np.exp(a.data * k)
     n = y.size
     m = np.add.reduce(y, axis=None) / n
@@ -354,7 +374,9 @@ def trace(a: Tensor) -> Tensor:
     if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
         raise ValueError(f"trace expects a square matrix, got {a.data.shape}")
     n = a.data.shape[0]
-    return _record("trace", np.trace(a.data), (a,), lambda g: (float(g) * np.eye(n),))
+    with np.errstate(all="ignore"):
+        y = np.trace(a.data)
+    return _record("trace", y, (a,), lambda g: (float(g) * np.eye(n),))
 
 
 # ------------------------------------------------------------------ row-wise
@@ -368,9 +390,9 @@ def batch_mean(a: Tensor) -> Tensor:
     """Mean over rows: (n, d) -> (d,)."""
     _expect_matrix(a, "batch_mean")
     n = a.data.shape[0]
-    return _record(
-        "batch_mean", np.add.reduce(a.data, axis=0) / n, (a,), lambda g: (np.tile(g / n, (n, 1)),)
-    )
+    with np.errstate(all="ignore"):
+        y = np.add.reduce(a.data, axis=0) / n
+    return _record("batch_mean", y, (a,), lambda g: (np.tile(g / n, (n, 1)),))
 
 
 def rownorm2(a: Tensor) -> Tensor:
@@ -382,13 +404,16 @@ def rownorm2(a: Tensor) -> Tensor:
         gx *= g[:, None]
         return (gx,)
 
-    return _record("rownorm2", np.add.reduce(a.data * a.data, axis=1), (a,), vjp)
+    with np.errstate(all="ignore"):
+        y = np.add.reduce(a.data * a.data, axis=1)
+    return _record("rownorm2", y, (a,), vjp)
 
 
 def rownorm(a: Tensor) -> Tensor:
     """L2 norm of each row.  Zero rows get subgradient zero."""
     _expect_matrix(a, "rownorm")
-    n = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
+    with np.errstate(all="ignore"):
+        n = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
 
     def vjp(g):
         safe = np.where(n > 0.0, n, 1.0)
@@ -402,12 +427,9 @@ def rownorm(a: Tensor) -> Tensor:
 def rowdot(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "rowdot")
     _expect_matrix(a, "rowdot")
-    return _record(
-        "rowdot",
-        np.add.reduce(a.data * b.data, axis=1),
-        (a, b),
-        lambda g: (b.data * g[:, None], a.data * g[:, None]),
-    )
+    with np.errstate(all="ignore"):
+        y = np.add.reduce(a.data * b.data, axis=1)
+    return _record("rowdot", y, (a, b), lambda g: (b.data * g[:, None], a.data * g[:, None]))
 
 
 def rowscale(a: Tensor, s: Tensor) -> Tensor:
@@ -415,11 +437,10 @@ def rowscale(a: Tensor, s: Tensor) -> Tensor:
     _expect_matrix(a, "rowscale")
     if s.data.shape != (a.data.shape[0],):
         raise ValueError(f"rowscale: scale shape {s.data.shape} vs rows {a.data.shape[0]}")
+    with np.errstate(all="ignore"):
+        y = a.data * s.data[:, None]
     return _record(
-        "rowscale",
-        a.data * s.data[:, None],
-        (a, s),
-        lambda g: (g * s.data[:, None], np.add.reduce(g * a.data, axis=1)),
+        "rowscale", y, (a, s), lambda g: (g * s.data[:, None], np.add.reduce(g * a.data, axis=1))
     )
 
 
@@ -427,7 +448,9 @@ def sub_rowvec(a: Tensor, v: Tensor) -> Tensor:
     _expect_matrix(a, "sub_rowvec")
     if v.data.shape != (a.data.shape[1],):
         raise ValueError(f"sub_rowvec: vector shape {v.data.shape} vs cols {a.data.shape[1]}")
-    return _record("sub_rowvec", a.data - v.data, (a, v), lambda g: (g, -np.add.reduce(g, axis=0)))
+    with np.errstate(all="ignore"):
+        y = a.data - v.data
+    return _record("sub_rowvec", y, (a, v), lambda g: (g, -np.add.reduce(g, axis=0)))
 
 
 def _scatter_add_rows(idx: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -469,11 +492,14 @@ def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
     t = float(max_norm)
     if t <= 0.0:
         raise ValueError("cap_rownorms: max_norm must be positive")
-    n = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
-    mask = n >= t
-    scale = np.ones_like(n)
-    scale[mask] = t / n[mask]
     x = a.data
+    with np.errstate(all="ignore"):
+        n = np.sqrt(np.add.reduce(x * x, axis=1))
+        _check("cap_rownorms", n)  # t / inf would scale an overflowing row to zero
+        mask = n >= t
+        scale = np.ones_like(n)
+        scale[mask] = t / n[mask]
+        y = x * scale[:, None]
 
     def vjp(g):
         gx = g * scale[:, None]
@@ -486,7 +512,7 @@ def cap_rownorms(a: Tensor, max_norm: float) -> Tensor:
             gx[idx] = (t / nm)[:, None] * (gm - xm * (xg / (nm * nm))[:, None])
         return (gx,)
 
-    return _record("cap_rownorms", x * scale[:, None], (a,), vjp)
+    return _record("cap_rownorms", y, (a,), vjp)
 
 
 # --------------------------------------------------------------- all pairs
@@ -545,7 +571,8 @@ def pair_sqdist(z: Tensor) -> Tensor:
     """
     _expect_matrix(z, "pair_sqdist")
     x = z.data
-    delta = _pair_delta(x)
+    with np.errstate(all="ignore"):
+        delta = _pair_delta(x)
     apart = delta > 0.0
 
     def vjp(g):
@@ -580,7 +607,8 @@ def ball_pair_distances(z: Tensor, c: float) -> Tensor:
     _expect_matrix(z, "ball_pair_distances")
     c = float(c)
     x = z.data
-    a = 1.0 - c * np.add.reduce(x * x, axis=1)
+    with np.errstate(all="ignore"):
+        a = 1.0 - c * np.add.reduce(x * x, axis=1)
     if not np.all(a > 0.0):
         raise ValueError("ball_pair_distances: row on or outside the ball boundary")
     w = _pair_delta(x)
@@ -616,7 +644,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects two matrices")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims {a.data.shape} @ {b.data.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         y = a.data @ b.data
     return _record("matmul", y, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
@@ -629,14 +657,18 @@ def transpose(a: Tensor) -> Tensor:
 def dot(u: Tensor, v: Tensor) -> Tensor:
     if u.data.shape != v.data.shape or u.data.ndim != 1:
         raise ValueError("dot expects two vectors of equal length")
-    return _record("dot", u.data @ v.data, (u, v), lambda g: (float(g) * v.data, float(g) * u.data))
+    with np.errstate(all="ignore"):
+        y = u.data @ v.data
+    return _record("dot", y, (u, v), lambda g: (float(g) * v.data, float(g) * u.data))
 
 
 def add_diag(a: Tensor, k: float) -> Tensor:
     """a + k * I for a square matrix; k is a fixed constant."""
     if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
         raise ValueError("add_diag expects a square matrix")
-    return _record("add_diag", a.data + float(k) * np.eye(a.data.shape[0]), (a,), lambda g: (g,))
+    with np.errstate(all="ignore"):
+        y = a.data + float(k) * np.eye(a.data.shape[0])
+    return _record("add_diag", y, (a,), lambda g: (g,))
 
 
 def logdet(a: Tensor) -> Tensor:
@@ -649,11 +681,195 @@ def logdet(a: Tensor) -> Tensor:
     """
     if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
         raise ValueError("logdet expects a square matrix")
-    sym = (a.data + a.data.T) / 2.0
+    with np.errstate(all="ignore"):
+        sym = (a.data + a.data.T) / 2.0
     L = cholesky(sym)
     val = 2.0 * np.add.reduce(np.log(np.diag(L)), axis=None)
     inv = spd_inverse(L)
     return _record("logdet", val, (a,), lambda g: (float(g) * inv,))
+
+
+# --------------------------------------------------------------- fused chains
+#
+# Each op below records, as one node, a chain of the ops above that the
+# losses run every step.  Its forward evaluates the chain's own expressions
+# in the chain's order, and its VJP replays the chain's reverse sweep: the
+# same products and sums in the same order, with each partial gradient of an
+# input returned in its own slot, in the order the chain's sweep produced it,
+# so that `backward` accumulates them as it accumulated the chain's.  Values
+# and gradients are the chain's to the bit.  An intermediate whose overflow
+# the rest of the chain could hide (a norm before the artanh clamp, a
+# denominator before its reciprocal, rows scaled off the trace) is checked
+# where the chain checked it, so `NonFiniteError` is raised wherever the
+# chain raised it.
+
+# Intermediate Möbius results can graze the boundary numerically even when
+# all inputs are interior; artanh arguments are clamped below 1 before
+# evaluation.
+ARTANH_CLAMP = 1.0 - 1e-12
+
+
+def mobius_add(u: Tensor, v: Tensor, c: float) -> Tensor:
+    """Row-wise Möbius addition u (+) v, the 19-op chain
+
+        uv, u2, v2 = rowdot(u, v), rownorm2(u), rownorm2(v)
+        coef_u = (uv * 2c + v2 * c) + 1;  coef_v = u2 * (-c) + 1
+        den = (uv * 2c + (u2 * v2) * c^2) + 1
+        rowscale(rowscale(u, coef_u) + rowscale(v, coef_v), vrecip(den))
+
+    as one node.  The inputs' slots are (v, u, v, u, u, v): the two
+    `rowscale`s, the two `rownorm2`s, then `rowdot`.
+    """
+    _same_shape(u, v, "mobius_add")
+    _expect_matrix(u, "mobius_add")
+    c = float(c)
+    k2c, kcc = 2.0 * c, c * c
+    x, y = u.data, v.data
+    with np.errstate(all="ignore"):
+        uv = np.add.reduce(x * y, axis=1)
+        u2 = np.add.reduce(x * x, axis=1)
+        v2 = np.add.reduce(y * y, axis=1)
+        coef_u = (uv * k2c + v2 * c) + 1.0
+        coef_v = u2 * -c + 1.0
+        den = (uv * k2c + (u2 * v2) * kcc) + 1.0
+        _check("mobius_add", den)  # an infinite den would make 1/den 0 and the output finite
+        rd = 1.0 / den
+        num = x * coef_u[:, None] + y * coef_v[:, None]
+        out = num * rd[:, None]
+
+    def vjp(g):
+        g_num = g * rd[:, None]
+        g_den = -np.add.reduce(g * num, axis=1) * rd * rd
+        g_coef_v = np.add.reduce(g_num * y, axis=1)
+        g_coef_u = np.add.reduce(g_num * x, axis=1)
+        g_d2 = g_den * kcc
+        g_u2 = g_d2 * v2 + g_coef_v * -c
+        g_v2 = g_d2 * u2 + g_coef_u * c
+        g_uv = (g_den * k2c + g_coef_u * k2c)[:, None]
+        gv = 2.0 * y
+        gv *= g_v2[:, None]
+        gu = 2.0 * x
+        gu *= g_u2[:, None]
+        return g_num * coef_v[:, None], g_num * coef_u[:, None], gv, gu, y * g_uv, x * g_uv
+
+    return _record("mobius_add", out, (v, u, v, u, u, v), vjp)
+
+
+def origin_distance(m: Tensor, c: float) -> Tensor:
+    """(2/sqrt(c)) artanh(sqrt(c) ||m_i||) per row, the ball distance of each row from 0.
+
+    One node for the chain rownorm, smul(sqrt(c)), clip(0, ARTANH_CLAMP),
+    artanh, smul(2/sqrt(c)).  A zero row gets gradient zero, as from `rownorm`.
+    """
+    _expect_matrix(m, "origin_distance")
+    x = m.data
+    with np.errstate(all="ignore"):
+        sc = float(np.sqrt(c))
+        k = 2.0 / sc
+        nrm = np.sqrt(np.add.reduce(x * x, axis=1))
+        s = nrm * sc
+        _check("origin_distance", s)  # also catches an infinite norm, before the clamp hides it
+        inside = (s >= 0.0) & (s <= ARTANH_CLAMP)
+        t = np.clip(s, 0.0, ARTANH_CLAMP)
+        out = np.arctanh(t) * k
+
+    def vjp(g):
+        g_n = g * k / (1.0 - t * t) * inside * sc
+        gx = x * (g_n / np.where(nrm > 0.0, nrm, 1.0))[:, None]
+        gx[nrm == 0.0] = 0.0
+        return (gx,)
+
+    return _record("origin_distance", out, (m,), vjp)
+
+
+def log0(z: Tensor, c: float) -> Tensor:
+    """Rows scaled by artanh(sqrt(c) ||z_i||) / (sqrt(c) ||z_i||), and by 1 where z_i = 0.
+
+    One node for the logarithmic map at the origin as the 9-op chain rownorm,
+    where (1 on zero rows), smul(sqrt(c)), clip(0, ARTANH_CLAMP), artanh,
+    smul(sqrt(c)), vdiv, where (1 on zero rows), rowscale.  The input's two
+    slots are `rowscale`'s and `rownorm`'s.
+    """
+    _expect_matrix(z, "log0")
+    x = z.data
+    with np.errstate(all="ignore"):
+        sc = float(np.sqrt(c))
+        nrm = np.sqrt(np.add.reduce(x * x, axis=1))
+        live = nrm != 0.0
+        s = np.where(live, nrm, 1.0) * sc
+        _check("log0", s)  # also catches an infinite norm, before the clamp hides it
+        inside = (s >= 0.0) & (s <= ARTANH_CLAMP)
+        t = np.clip(s, 0.0, ARTANH_CLAMP)
+        q = np.arctanh(t) / s
+        f = np.where(live, q, 1.0)
+        out = x * f[:, None]
+
+    def vjp(g):
+        g_q = np.add.reduce(g * x, axis=1) * live
+        g_s = -g_q * q / s * sc  # the denominator's smul is swept before the clamped one
+        g_s = g_s + g_q / s / (1.0 - t * t) * inside * sc
+        g_n = g_s * live
+        gx = x * (g_n / np.where(nrm > 0.0, nrm, 1.0))[:, None]
+        gx[nrm == 0.0] = 0.0
+        return g * f[:, None], gx
+
+    return _record("log0", out, (z, z), vjp)
+
+
+def covariance(y: Tensor, mu: Tensor) -> Tensor:
+    """(1/n) (y - mu)^T (y - mu) for n rows and their mean, the chain
+    sub_rowvec, transpose, matmul, smul(1/n), as one node."""
+    _expect_matrix(y, "covariance")
+    n, d = y.data.shape
+    if mu.data.shape != (d,):
+        raise ValueError(f"covariance: mean shape {mu.data.shape} vs cols {d}")
+    k = 1.0 / n
+    with np.errstate(all="ignore"):
+        centered = y.data - mu.data
+        sigma = (centered.T @ centered) * k
+
+    def vjp(g):
+        g = g * k
+        gc = centered @ g  # matmul's right operand, then the transpose adds the left one's
+        gc += (g @ centered.T).T
+        return gc, -np.add.reduce(gc, axis=0)
+
+    return _record("covariance", sigma, (y, mu), vjp)
+
+
+def gaussian_match(s: Tensor, ld: Tensor, mu: Tensor, mean: float, diag: Optional[np.ndarray]) -> Tensor:
+    """tr(D^-1 S) - ld + (mu - m1)^T D^-1 (mu - m1) + logdet(D) - d, D = diag(diag), as one node.
+
+    `ld` is logdet(S), recorded by the caller; `diag` None stands for D = I.
+    The chain is rowscale(S, 1/diag), trace, sadd(mu, -m), mul(1/diag, .),
+    dot, neg(ld), add, add, sadd.  At m = 0 and D = I it rounds exactly as
+    tr(S) - ld + mu.mu - d (x * 1.0 and x + (-0.0) are x), and mu's two
+    partials of mu.mu arrive summed, which is the same sum while mu holds no
+    other gradient yet.
+    """
+    d = mu.data.size
+    if mu.data.ndim != 1 or s.data.shape != (d, d) or ld.data.shape != ():
+        raise ValueError(f"gaussian_match: shapes {s.data.shape}, {ld.data.shape}, {mu.data.shape}")
+    if diag is None:
+        inv, logdet_d = np.ones(d), 0.0
+    else:
+        diag = np.asarray(diag, dtype=float)
+        if diag.shape != (d,) or np.any(diag <= 0.0):
+            raise ValueError("target covariance diagonal must be positive with matching dim")
+        with np.errstate(all="ignore"):
+            inv, logdet_d = 1.0 / diag, float(np.sum(np.log(diag)))
+    with np.errstate(all="ignore"):
+        scaled = s.data * inv[:, None]
+        _check("gaussian_match", scaled)  # the trace reads only its diagonal
+        delta = mu.data + -float(mean)
+        w = inv * delta
+        out = ((np.trace(scaled) + -ld.data) + delta @ w) + (logdet_d - float(d))
+
+    def vjp(g):
+        gf = float(g)
+        return (gf * np.eye(d)) * inv[:, None], -g, gf * w + (gf * delta) * inv
+
+    return _record("gaussian_match", out, (s, ld, mu), vjp)
 
 
 # -------------------------------------------------------------------- sparse
@@ -687,7 +903,8 @@ def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
     _expect_matrix(x, "spmm")
     if s.shape[1] != x.data.shape[0]:
         raise ValueError(f"spmm: inner dims {s.shape} @ {x.data.shape}")
-    y = _scatter_add_rows(s.rows, s.vals[:, None] * x.data[s.cols], s.shape[0])
+    with np.errstate(all="ignore"):
+        y = _scatter_add_rows(s.rows, s.vals[:, None] * x.data[s.cols], s.shape[0])
     n = x.data.shape[0]
     return _record(
         "spmm", y, (x,), lambda g: (_scatter_add_rows(s.cols, s.vals[:, None] * g[s.rows], n),)

@@ -172,6 +172,9 @@ def _scalarized_checks(rng) -> list:
     big = rng.standard_normal((n, d)) * 3.0
     inside = _ball_batch(rng, n, d, max_radius=0.8)
     wpairs = rng.standard_normal((n * n, 1))
+    inside2 = _ball_batch(rng, n, d, c=2.0, max_radius=0.8)
+    tvec = rng.standard_normal(3)
+    tdiag = rng.uniform(0.5, 2.0, 3)
 
     def ws(x, w):
         return T.sum_all(T.mul(x, Tensor(w)))
@@ -212,6 +215,13 @@ def _scalarized_checks(rng) -> list:
         ("spmm", lambda x: ws(T.spmm(sp, x), wm), a),
         ("pair_sqdist", lambda x: ws(T.pair_sqdist(x), wpairs), a),
         ("ball_pair_distances", lambda x: ws(T.ball_pair_distances(x, 1.0), wpairs), inside),
+        ("mobius_add-u", lambda x: ws(T.mobius_add(x, Tensor(inside2), 2.0), wm), inside2[::-1].copy()),
+        ("mobius_add-v", lambda x: ws(T.mobius_add(Tensor(inside2), x, 2.0), wm), inside2[::-1].copy()),
+        ("origin_distance", lambda x: ws(T.origin_distance(x, 2.0), wn), inside2),
+        ("log0", lambda x: ws(T.log0(x, 2.0), wm), inside2),
+        ("covariance", lambda x: T.sum_all(T.mul(T.covariance(x, T.batch_mean(x)), Tensor(w3))), a),
+        ("gaussian_match-s", lambda x: T.gaussian_match(x, T.logdet(x), Tensor(tvec), 0.5, tdiag), spd),
+        ("gaussian_match-mu", lambda x: T.gaussian_match(Tensor(spd), Tensor(1.0), x, 0.5, tdiag), tvec),
     ]
 
 

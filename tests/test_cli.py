@@ -509,6 +509,16 @@ def test_density_near_uniform_profile(tmp_path, capsys):
     assert inner.max() / inner.min() < 1.5
 
 
+def test_density_of_the_narrowest_spec_prints_only_its_integral(tmp_path, capsys):
+    # the profile's radii lie far outside this spike, where the Gaussian's quadratic form overflows
+    out = tmp_path / "profile.csv"
+    assert cli.main(["density", "--sigma", "1.5e-154", "--curvature", "1", "--dim", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "integral=1.000000\n" and captured.err == ""
+    densities = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(densities) == 256 and densities[0] > 0.0 and all(v == 0.0 for v in densities[1:])
+
+
 def test_density_unsupported_dim(tmp_path):
     rc = cli.main(["density", "--sigma", "1.0", "--curvature", "1.0", "--dim", "3", "--out", str(tmp_path / "x.csv")])
     assert rc == 1

@@ -103,6 +103,50 @@ def test_nonfinite_is_an_error_state():
         T.vrecip(Tensor(np.array([0.0, 1.0])))
 
 
+_BIG = Tensor(np.full((2, 2), 1e200))
+_MAX = Tensor(np.full((2, 2), 1.7e308))
+
+# op -> a call on finite inputs whose result overflows
+OVERFLOWS = {
+    "add": lambda: T.add(_MAX, _MAX),
+    "sub": lambda: T.sub(_MAX, T.neg(_MAX)),
+    "mul": lambda: T.mul(_BIG, _BIG),
+    "vdiv": lambda: T.vdiv(_BIG, Tensor(np.full((2, 2), 1e-200))),
+    "smul": lambda: T.smul(_BIG, 1e200),
+    "sadd": lambda: T.sadd(_MAX, 1.7e308),
+    "vrecip": lambda: T.vrecip(Tensor([1e-320])),
+    "prelu": lambda: T.prelu(T.neg(_MAX), Tensor(10.0)),
+    "sum": lambda: T.sum_all(_MAX),
+    "mean": lambda: T.mean_all(_MAX),
+    "log_mean_exp": lambda: T.log_mean_exp(Tensor([1e4]), 1.0),
+    "trace": lambda: T.trace(_MAX),
+    "batch_mean": lambda: T.batch_mean(_MAX),
+    "rownorm2": lambda: T.rownorm2(_BIG),
+    "rownorm": lambda: T.rownorm(_BIG),
+    "rowdot": lambda: T.rowdot(_BIG, _BIG),
+    "rowscale": lambda: T.rowscale(_BIG, Tensor([1e200, 1.0])),
+    "sub_rowvec": lambda: T.sub_rowvec(_MAX, Tensor([-1.7e308, 0.0])),
+    "cap_rownorms": lambda: T.cap_rownorms(_BIG, 1.0),
+    "pair_sqdist": lambda: T.pair_sqdist(Tensor([[1e200, 0.0], [0.0, 1e200]])),
+    "matmul": lambda: T.matmul(_BIG, _BIG),
+    "dot": lambda: T.dot(Tensor([1e200]), Tensor([1e200])),
+    "add_diag": lambda: T.add_diag(_MAX, 1.7e308),
+    "spmm": lambda: T.spmm(SparseMatrix((1, 2), [0, 0], [0, 1], [2.0, 1.0]), Tensor([[1e308], [1.0]])),
+    "mobius_add": lambda: T.mobius_add(_BIG, _BIG, 1.0),
+    "origin_distance": lambda: T.origin_distance(_BIG, 1.0),
+    "log0": lambda: T.log0(_BIG, 1.0),
+    "covariance": lambda: T.covariance(_BIG, Tensor([-1e200, 0.0])),
+    "gaussian_match": lambda: T.gaussian_match(Tensor(np.eye(2)), Tensor(0.0), Tensor([1e200, 0.0]), 0.0, None),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+def test_overflow_raises_nonfinite_error_without_a_warning(op):
+    # tier-1 turns every warning into an error, so a warning here would fail the test
+    with pytest.raises(NonFiniteError, match=f"^op '{op}' produced non-finite values$"):
+        OVERFLOWS[op]()
+
+
 def test_finite_diff_check_sum_of_squares():
     rng = np.random.default_rng(0)
     err = finite_diff_check(lambda t: T.sum_all(T.mul(t, t)), rng.standard_normal((3, 4)))
@@ -642,6 +686,7 @@ def test_pair_delta_keeps_the_label_mask_forms_bits(name):
         (np.array([[1.0, 0.0], [0.0, 0.5]]), 1.0),
         (np.array([[0.5, 0.0], [0.0, 0.1]]), 4.0),
         (np.array([[0.0, 0.2], [3.0, 4.0]]), 1.0),
+        (np.array([[1e200, 0.0], [0.0, 0.0]]), 1.0),  # c ||z||^2 overflows, with no warning
     ],
 )
 def test_ball_pair_distances_rejects_rows_outside_the_ball(z, c):
